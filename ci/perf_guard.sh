@@ -11,16 +11,16 @@
 #   PERF_GUARD_FLAGS   compare flags, default "--skip-wall". Set to ""
 #                      (or "--wall-tol 0.20") on a quiet dedicated box to
 #                      gate wall time too. The solver_storm_mt bench's
-#                      threads_speedup metric is floor-gated (>= 3x at 8
-#                      threads) whenever the runner has >= 8 hardware
-#                      cores and skipped otherwise; add "--skip-speedup"
-#                      to drop that rule, or "--speedup-floor F" to tune
-#                      it. The fleet_scale bench's sched_rps metric is
+#                      partition_speedup metric (monolithic over
+#                      partitioned wall time for the same churn, both
+#                      on one thread in one process) is floor-gated at
+#                      >= 3x on every host; add "--skip-speedup" to drop
+#                      that rule, or "--speedup-floor F" to tune it.
+#                      The fleet_scale bench's sched_rps metric is
 #                      floor-gated unconditionally (>= 5e5 scheduled
-#                      requests/s; the sharded-engine scenario itself
-#                      clears 1e6, the ISSUE 10 throughput contract,
-#                      and the floor leaves headroom for future
-#                      scenario tweaks):
+#                      requests/s; the scenario itself clears 1e6, and
+#                      the floor leaves headroom for future scenario
+#                      tweaks):
 #                      it is computed from simulated time, so it cannot
 #                      regress from runner noise; "--rps-floor F" tunes
 #                      the threshold.

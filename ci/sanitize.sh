@@ -22,25 +22,24 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # stress for the CSR arena / free-list / incidence bookkeeping (including
 # bit-identical churn vs the reference solver), exactly the code where an
 # out-of-bounds arena index or stale incidence back-pointer would hide.
-# The parallel suites ride along: component buckets index the same arena.
+# The partition suites ride along: component buckets index the same arena.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='*SolverProperty*:FlowSolverCache.*:FlowSolverFreeList.*:FlowSolverCapacityFactor.*:FlowSolverScratch.*:FlowSolverParallel.*:FlowSolverStatus.*:ThreadPool.*'
+  --gtest_filter='*SolverProperty*:FlowSolverCache.*:FlowSolverFreeList.*:FlowSolverCapacityFactor.*:FlowSolverScratch.*:FlowSolverPartition.*:FlowSolverStatus.*'
 
 # The fleet serving suite also runs standalone: its runtime is the one
 # place where event-engine callbacks hold (id, generation) handles across
 # host crashes that tear down in-flight state — exactly where a stale
 # pointer or double-detach would surface as a use-after-free. The scale
-# suites (FleetScale/ShardSet) add the batched admission path: per-shard
-# arenas drained by pool lanes and 2,000-tenant storm runs. ISSUE 10
-# adds the sharded queue (PriorityFifo/QueueSet: map-of-deque arenas
-# churned by a 20,000-op shed/steal property trace) and the sharded
-# event engine (per-lane heaps drained in fork-join rounds).
+# suites (FleetScale, FleetConservation) add the batched admission path
+# and 2,000-tenant storm runs; PriorityFifo/BoundedQueue churn the
+# map-of-deque queue with a 20,000-op shed property trace, and
+# EventEngine covers the per-lane alarm heaps.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='TokenBucket*:BoundedQueue*:PriorityFifo*:QueueSet*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:ShardSet*:ShardedEventEngine*:FaultPlanFile*'
+  --gtest_filter='TokenBucket*:BoundedQueue*:PriorityFifo*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetConservation*:EventEngine*:FaultPlanFile*'
 
 # halt_on_error: the first sanitizer report fails the test run instead of
 # scrolling past; detect_leaks exercises the Host/Buffer ownership paths.
@@ -50,12 +49,11 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 
 echo "sanitize: all tests passed under ASan+UBSan"
 
-# ThreadSanitizer pass over the parallel solver engine. TSan cannot be
-# combined with ASan, so it gets its own tree; the filter covers the
-# ThreadPool handshake and every multi-threaded solve path (sharded
-# churn, thread-count invariance, traced fio runs at 8 threads) — the
-# code where a missing happens-before edge would surface as a data race
-# on rates_, the per-worker scratch, or the stats counters.
+# ThreadSanitizer pass over the one multi-threaded component: the
+# telemetry server (src/obs/serve.*), whose accept loop runs on its own
+# thread and reads documents the simulation thread publishes through the
+# TelemetryHub. TSan cannot be combined with ASan, so it gets its own
+# tree.
 TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g"
 
@@ -66,15 +64,8 @@ cmake -B "$TSAN_BUILD_DIR" -S "$ROOT" \
 
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" --target numaio_tests
 
-# FleetScale/ShardSet join the TSan filter for the batched admission
-# fan-out: shard arenas and verdict bytes are written concurrently by
-# pool lanes, relying only on the fork-join barrier for publication.
-# ShardedEventEngine adds the lane-drain rounds: per-lane heaps and
-# accumulators mutated by concurrent workers, published to the serial
-# merge hook through the same barrier (worker-count invariance test
-# runs the identical script serial, 2-worker and 8-worker).
 TSAN_OPTIONS="halt_on_error=1" \
   "$TSAN_BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='ThreadPool.*:*ParallelSolverProperty*:FlowSolverParallel.*:FleetScale*:ShardSet*:ShardedEventEngine*'
+  --gtest_filter='Telemetry*'
 
-echo "sanitize: parallel solver is clean under TSan"
+echo "sanitize: telemetry server is clean under TSan"

@@ -33,7 +33,7 @@ int main() {
   // 2. Derive the fabric character from the wiring (no calibration data).
   //    SolveOptions picks the contention solver's execution engine; the
   //    partitioned engine solves disconnected flow groups independently
-  //    (and in parallel when threads > 1) with bit-identical rates.
+  //    and re-solves only the groups a change touched.
   sim::SolveOptions solve;
   solve.partition = true;
   fabric::Machine machine{fabric::derived_profile(topo), solve};

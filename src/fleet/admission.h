@@ -43,22 +43,17 @@ class TokenBucket {
   sim::Ns last_ = 0.0;
 };
 
-/// One queued admission ticket. `request` is an opaque caller-side id;
-/// `tenant` keys the sharded QueueSet's shard choice (fleet/queue_set.h)
-/// and is ignored by the single BoundedQueue.
+/// One queued admission ticket. `request` is an opaque caller-side id.
 struct QueueItem {
   int request = -1;
   int priority = 0;  ///< Higher survives longer; shedding starts lowest.
-  int tenant = 0;
 };
 
 /// Priority-indexed FIFO: one arrival-ordered level per distinct priority.
 /// The two ends the fleet cares about are both O(log levels): best() is
 /// the pop order (highest priority, earliest sequence) and victim() is the
 /// shed order (lowest priority, latest sequence). Sequence numbers are
-/// assigned by the caller, so a sharded queue can thread one *global*
-/// arrival order through many per-shard fifos and still recover the exact
-/// single-queue pop/shed sequence (fleet/queue_set.h).
+/// assigned by the caller (BoundedQueue numbers arrivals in push order).
 class PriorityFifo {
  public:
   struct Entry {
@@ -100,8 +95,7 @@ class PriorityFifo {
 /// incoming item itself unless it outranks the current minimum. The
 /// invariant the fleet contract rests on: a shed item's priority is <=
 /// every priority still queued at that instant, and depth() never exceeds
-/// max_depth. This single-queue form is the documented reference the
-/// sharded QueueSet is property-tested against.
+/// max_depth.
 class BoundedQueue {
  public:
   explicit BoundedQueue(int max_depth) : max_depth_(max_depth) {}

@@ -100,16 +100,13 @@ struct FleetConfig {
   /// Arrivals stop here; the run then drains (every pending request
   /// completes or hits its deadline).
   sim::Ns horizon = 10.0e9;
-  /// Solver execution engine for every host's machine (threads / component
+  /// Solver execution engine for every host's machine (component
   /// partitioning; simcore/solve_options.h). The fleet owns its testbeds,
   /// so unlike model::OnlineConfig this is a concrete value: the default
-  /// keeps the serial monolithic solver.
+  /// keeps the monolithic solver.
   sim::SolveOptions solve{};
-  /// Admission sharding (DESIGN.md §12): per-tenant quota buckets and
-  /// retry budgets split into this many tenant-hash-keyed shards, each
-  /// with its own arena. Results — and deterministic trace bytes — are
-  /// invariant to the shard count; shards only let a batched epoch fan
-  /// the quota math across the deterministic sim::ThreadPool.
+  /// Must be 1; validate() rejects any other value. The fleet keeps one
+  /// plain per-tenant array of quota buckets and retry budgets.
   int shards = 1;
   /// Batched admission: > 0 drains arrivals in epochs at fixed
   /// multiples of this window, emitting one `fleet.admit_batch` span
@@ -124,19 +121,11 @@ struct FleetConfig {
   /// (capacity head-room, breaker state, windowed p99) refresh at most
   /// once per this much simulated time, pulled lazily at placement.
   sim::Ns summary_refresh = 50.0e6;
-  /// Post-admission queue sharding (DESIGN.md §13): the bounded queue
-  /// splits into this many tenant-hash-keyed arenas (fleet/queue_set.h)
-  /// sharing one global depth bound and arrival order, with a two-level
-  /// shed (local candidate, then a cross-shard steal pass). Pop and shed
-  /// order — and therefore traces — are bit-identical to the single
-  /// queue for any value.
+  /// Must be 1; validate() rejects any other value. Admitted requests
+  /// wait in one BoundedQueue.
   int queue_shards = 1;
-  /// Event-lane drain workers (DESIGN.md §13): per-host completion
-  /// alarms live on sim::ShardedEventEngine lanes (one per host) and
-  /// due lanes drain as deterministic fork-join rounds across this many
-  /// pool workers. 1 keeps every round serial — the reference path the
-  /// parallel drains are property-tested against. Traces, verdicts and
-  /// stats are invariant to this value by construction.
+  /// Must be 1; validate() rejects any other value. Per-host completion
+  /// alarms drain serially on sim::EventEngine lanes (DESIGN.md §13).
   int event_lanes = 1;
   /// 0 keeps the uniform DL585 fleet. k > 0 gives every k-th host
   /// (h % k == k - 1) the lite SKU (io::Testbed::dl585_lite — a
@@ -146,11 +135,10 @@ struct FleetConfig {
   int alt_sku_every = 0;
   /// Completion-alarm quantization (DESIGN.md §13): > 0 rounds every
   /// projected flow-completion alarm up to the next multiple of this
-  /// grid, so completions across hosts share instants and one fork-join
-  /// round drains many lanes at once. A request occupies its slot until
-  /// the grid instant (at most one grid step of added latency); 0 keeps
-  /// exact per-completion alarms. Results are identical for any
-  /// event_lanes value either way.
+  /// grid, so completions across hosts share instants and drain in one
+  /// pass. A request occupies its slot until the grid instant (at most
+  /// one grid step of added latency); 0 keeps exact per-completion
+  /// alarms.
   sim::Ns completion_grid = 0.0;
 
   /// Typed validation of every knob above: ok() or kUsage with the
@@ -200,11 +188,6 @@ struct FleetReport {
   sim::Ns placement_p50 = 0.0;
   sim::Ns placement_p99 = 0.0;
   sim::Ns makespan = 0.0;       ///< Simulated time when the run drained.
-  /// Sharded-path counters (DESIGN.md §13).
-  long long queue_steals = 0;   ///< Shed victims taken from another shard.
-  int max_shard_depth = 0;      ///< Deepest any single queue shard got.
-  long long lane_rounds = 0;    ///< Fork-join lane-drain rounds.
-  long long lane_parallel_batches = 0;  ///< Rounds fanned across workers.
 
   /// Human-readable table (the CLI's `fleet` output).
   std::string summary() const;
@@ -263,10 +246,9 @@ struct StormScenario {
 StormScenario make_storm(int num_hosts, int num_tenants, double offered_rps,
                          std::uint64_t seed, sim::Ns horizon);
 
-/// The ISSUE 9 scale scenario: thousands of small-request tenants over
-/// the batched (2 ms epochs), sharded (8), coarse-service,
-/// class-placed request path, with one host crashing mid-run and
-/// recovering at half capacity. Small requests (256 KiB) put per-host
+/// The scale scenario: thousands of small-request tenants over the
+/// batched (2 ms epochs), coarse-service, class-placed request path,
+/// with one host crashing mid-run and recovering at half capacity. Small requests (256 KiB) put per-host
 /// service capacity near 10^4 req/s, so the fleet clears >= 10^5
 /// scheduled requests/s — the bench floor ci/perf_guard.sh gates.
 StormScenario make_scale_storm(int num_hosts, int num_tenants,

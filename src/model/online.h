@@ -49,10 +49,10 @@ struct OnlineConfig {
   /// remote-aware class join the placement pool.
   double class_tolerance = 0.25;
   /// When set, run() reconfigures the host solver's execution engine
-  /// (threads / component partitioning; simcore/solve_options.h) before
+  /// (component partitioning; simcore/solve_options.h) before
   /// simulating. Unset inherits whatever the host's machine was built
-  /// with — so a Testbed configured via --solver-threads keeps its
-  /// setting through a default-configured scheduler.
+  /// with, so a partitioned Testbed keeps its setting through a
+  /// default-configured scheduler.
   std::optional<sim::SolveOptions> solve;
 };
 

@@ -1,8 +1,20 @@
-// Discrete-event simulation core: a clock plus a time-ordered event queue.
+// Discrete-event engine: per-lane alarm heaps plus a serial control queue
+// (DESIGN.md §13).
 //
-// Events scheduled for the same timestamp fire in scheduling order
-// (FIFO tie-break via a monotone sequence number), which keeps runs
-// deterministic regardless of container internals.
+// The schedule is split in two:
+//
+//  * Lane events — plain-data records on one binary heap per lane (the
+//    fleet maps lane == host). At each instant every lane holding due
+//    events drains them, in ascending lane order; a handler may touch
+//    only its own lane's state, may schedule follow-ups onto its *own*
+//    lane, and must not emit traces or metrics.
+//  * Control events — closures on one heap, fired one at a time in
+//    (at, seq) order, so same-instant events run in scheduling order.
+//
+// Per instant, lanes drain first, then the merge hook runs (the only
+// place lane results become globally visible — the fleet commits them
+// there in lane order), then control events fire in (at, seq) order.
+// Every trace the fleet writes depends on this ordering.
 #pragma once
 
 #include <cstdint>
@@ -17,42 +29,85 @@ class EventEngine {
  public:
   using Callback = std::function<void()>;
 
-  /// Current simulated time.
+  /// One plain-data lane event. `kind`/`a`/`b`/`gen` are caller-defined
+  /// payload (the fleet encodes projection alarms with a generation
+  /// guard); `at`/`seq` order the lane's heap.
+  struct LaneEvent {
+    Ns at = 0.0;
+    std::uint64_t seq = 0;
+    int kind = 0;
+    int a = 0;
+    int b = 0;
+    std::uint64_t gen = 0;
+  };
+
+  /// Runs for each drained event. Must not touch other lanes, the
+  /// control queue, traces, or metrics.
+  using LaneHandler = std::function<void(int lane, const LaneEvent&)>;
+
+  /// Runs after each lane drain, at the drain's instant. The only place
+  /// lane-drain results may be published.
+  using MergeHook = std::function<void(Ns at)>;
+
+  /// `num_lanes` independent alarm heaps (clamped to >= 1).
+  explicit EventEngine(int num_lanes = 1);
+
+  void set_lane_handler(LaneHandler handler);
+  void set_merge_hook(MergeHook hook);
+
   Ns now() const { return now_; }
+  int num_lanes() const { return static_cast<int>(lanes_.size()); }
 
-  /// Schedules `fn` to run at absolute time `at` (>= now()).
+  /// Schedules a control closure at absolute time `at` (>= now()). Not
+  /// from a lane handler.
   void schedule_at(Ns at, Callback fn);
-
-  /// Schedules `fn` to run `delay` nanoseconds from now.
   void schedule_in(Ns delay, Callback fn);
 
-  /// Runs events until the queue drains. Returns the final clock value.
+  /// Schedules a lane event. Control events, the merge hook and setup
+  /// code may target any lane; a lane handler only its own.
+  void schedule_lane(int lane, Ns at, int kind, int a, int b,
+                     std::uint64_t gen);
+
+  /// Runs lane drains and control events until both queues are empty.
   Ns run();
 
-  /// Runs events with timestamp <= `until`, then advances the clock to
-  /// `until` if it has not passed it. Returns the final clock value.
+  /// Runs everything with timestamp <= `until`, then advances the clock
+  /// to `until` if it has not passed it.
   Ns run_until(Ns until);
 
-  /// Pending event count (for tests and loop guards).
-  std::size_t pending() const { return heap_.size(); }
-
-  /// Time of the earliest pending event; kUnlimited when empty.
+  std::size_t pending() const;
   Ns next_event_time() const;
 
+  /// Lane events fired over the engine's life (all lanes).
+  long long lane_events_fired() const { return lane_events_fired_; }
+
  private:
-  struct Event {
+  struct ControlEvent {
     Ns at;
     std::uint64_t seq;
     Callback fn;
   };
 
-  void pop_and_run();
+  /// One lane's heap.
+  struct Lane {
+    std::vector<LaneEvent> heap;  ///< Min-heap on (at, seq).
+    std::uint64_t next_seq = 0;
+  };
+
+  /// Earliest lane-event time across lanes; kUnlimited when none.
+  Ns next_lane_time() const;
+  /// Drains every lane's events with at <= `t` in lane order, then runs
+  /// the merge hook.
+  void drain_lanes(Ns t);
 
   Ns now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  // Min-heap on (at, seq), managed with std::push_heap/std::pop_heap so
-  // events (which hold move-only state) can be moved out when fired.
-  std::vector<Event> heap_;
+  std::uint64_t next_control_seq_ = 0;
+  bool in_lane_phase_ = false;
+  long long lane_events_fired_ = 0;
+  std::vector<ControlEvent> control_;  ///< Min-heap on (at, seq).
+  std::vector<Lane> lanes_;
+  LaneHandler lane_handler_;
+  MergeHook merge_hook_;
 };
 
 }  // namespace numaio::sim

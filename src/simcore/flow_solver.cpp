@@ -7,8 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "simcore/thread_pool.h"
-
 namespace numaio::sim {
 
 namespace {
@@ -23,13 +21,20 @@ constexpr double kEps = 1e-12;
 // long-lived solver would congeal into one stale mega-component and the
 // partitioning would stop paying for itself.
 constexpr std::size_t kRebuildMinRemovals = 16;
+
+Status check_options(const SolveOptions& options) {
+  if (options.threads != 1) {
+    return Status{StatusCode::kUsage,
+                  "SolveOptions::threads must be 1 (the solver runs on the "
+                  "calling thread), got " +
+                      std::to_string(options.threads)};
+  }
+  return Status{};
+}
 }  // namespace
 
-/// Per-worker water-filling scratch. alignas(64) puts each worker's hot
-/// cursors (stamp, partial counters, the vector headers) on its own cache
-/// line; the vectors' payloads are separate heap blocks already, so two
-/// workers solving components concurrently never write the same line.
-struct alignas(64) FlowSolver::SolveScratch {
+/// Water-filling scratch, reused across solves.
+struct FlowSolver::SolveScratch {
   std::vector<FlowId> worklist;     ///< Monolithic-mode flow list.
   std::vector<ResourceId> touched;  ///< Resources with live weight.
   std::vector<double> weight;
@@ -37,8 +42,7 @@ struct alignas(64) FlowSolver::SolveScratch {
   std::vector<std::uint64_t> touch_stamp;  ///< Per resource.
   std::vector<std::uint64_t> cand_stamp;   ///< Per flow slot.
   std::uint64_t stamp = 0;
-  // Per-solve partial counters, summed into stats_ after the join so
-  // workers never contend on the shared SolveStats block.
+  // Per-solve counters, summed into stats_ after each solve.
   std::uint64_t rounds = 0;
   std::uint64_t flows_scanned = 0;
   std::uint64_t resource_touches = 0;
@@ -46,11 +50,9 @@ struct alignas(64) FlowSolver::SolveScratch {
 };
 
 FlowSolver::FlowSolver(const SolveOptions& options)
-    : options_(options.normalized()) {
-  scratch_.reserve(static_cast<std::size_t>(options_.threads));
-  for (int w = 0; w < options_.threads; ++w) {
-    scratch_.push_back(std::make_unique<SolveScratch>());
-  }
+    : options_(options), scratch_(std::make_unique<SolveScratch>()) {
+  const Status status = check_options(options);
+  if (!status.ok()) throw StatusError(status);
 }
 
 FlowSolver::~FlowSolver() = default;
@@ -58,14 +60,11 @@ FlowSolver::FlowSolver(FlowSolver&&) noexcept = default;
 FlowSolver& FlowSolver::operator=(FlowSolver&&) noexcept = default;
 
 void FlowSolver::set_options(const SolveOptions& options) {
-  const SolveOptions next = options.normalized();
-  if (next == options_) return;
+  const Status status = check_options(options);
+  if (!status.ok()) throw StatusError(status);
+  if (options == options_) return;
   const bool was_partition = options_.partition;
-  options_ = next;
-  pool_.reset();  // lazily recreated at the new width
-  while (scratch_.size() < static_cast<std::size_t>(options_.threads)) {
-    scratch_.push_back(std::make_unique<SolveScratch>());
-  }
+  options_ = options;
   if (options_.partition && !was_partition) {
     // Components were not maintained while partitioning was off; derive
     // them from the live flows at the next solve.
@@ -76,8 +75,7 @@ void FlowSolver::set_options(const SolveOptions& options) {
     need_rebuild_ = true;
   }
   // A partition toggle changes the floating-point association of the
-  // result, and any real change retires the current execution plan, so
-  // the cached rates cannot be reused.
+  // result, so the cached rates cannot be reused.
   bump_epoch();
   all_dirty_ = true;
   detached_dirty_ = true;
@@ -405,7 +403,6 @@ void FlowSolver::set_observer(obs::Context* obs) {
   m_touches_ = obs_->metrics.counter("solver.resource_touches");
   m_components_ = obs_->metrics.gauge("solver.components");
   m_largest_comp_ = obs_->metrics.gauge("solver.largest_component_flows");
-  m_parallel_batches_ = obs_->metrics.counter("solver.parallel_batches");
   m_rebuilds_ = obs_->metrics.counter("solver.component_rebuilds");
 }
 
@@ -451,22 +448,10 @@ void FlowSolver::solve_uncached() const {
   std::fill(rates_.begin(), rates_.end(), 0.0);
   if (live_flows_ == 0) return;
 
-  SolveScratch& s = *scratch_[0];
-  s.rounds = 0;
-  s.flows_scanned = 0;
-  s.resource_touches = 0;
-  s.scratch_grows = 0;
-  ensure_size(s.weight, resources_.size(), s.scratch_grows);
-  ensure_size(s.residual, resources_.size(), s.scratch_grows);
-  ensure_size(s.touch_stamp, resources_.size(), s.scratch_grows);
-  ensure_size(s.cand_stamp, flows_.size(), s.scratch_grows);
+  SolveScratch& s = prepare_scratch();
   if (s.worklist.capacity() < live_flows_) {
     ++s.scratch_grows;
     s.worklist.reserve(live_flows_);
-  }
-  if (s.touched.capacity() < resources_.size()) {
-    ++s.scratch_grows;
-    s.touched.reserve(resources_.size());
   }
 
   // One span holding every live flow in insertion order (== the old
@@ -477,7 +462,27 @@ void FlowSolver::solve_uncached() const {
     s.worklist.push_back(f);
   }
   solve_span(s.worklist.data(), s.worklist.size(), s);
+  record_solve_counters(s);
+}
 
+FlowSolver::SolveScratch& FlowSolver::prepare_scratch() const {
+  SolveScratch& s = *scratch_;
+  s.rounds = 0;
+  s.flows_scanned = 0;
+  s.resource_touches = 0;
+  s.scratch_grows = 0;
+  ensure_size(s.weight, resources_.size(), s.scratch_grows);
+  ensure_size(s.residual, resources_.size(), s.scratch_grows);
+  ensure_size(s.touch_stamp, resources_.size(), s.scratch_grows);
+  ensure_size(s.cand_stamp, flows_.size(), s.scratch_grows);
+  if (s.touched.capacity() < resources_.size()) {
+    ++s.scratch_grows;
+    s.touched.reserve(resources_.size());
+  }
+  return s;
+}
+
+void FlowSolver::record_solve_counters(const SolveScratch& s) const {
   stats_.rounds += s.rounds;
   stats_.flows_scanned += s.flows_scanned;
   stats_.resource_touches += s.resource_touches;
@@ -527,8 +532,7 @@ void FlowSolver::solve_partitioned() const {
   // counting components and collecting the dirty ones' flows. A bucket's
   // flow order is therefore insertion order, and bucket order is the
   // first-appearance order of dirty components — both pure functions of
-  // the mutation history, which is what makes the parallel solve
-  // deterministic.
+  // the mutation history.
   const std::uint64_t tok = ++bucket_token_;
   std::size_t used = 0;  // dirty buckets this solve
   std::uint64_t components = 0;
@@ -571,46 +575,9 @@ void FlowSolver::solve_partitioned() const {
   }
   if (detached_count > 0) ++components;
 
-  // Size every active worker's scratch serially: the workers themselves
-  // never allocate, so parallel solves stay malloc-free and the arrays
-  // (one block per worker, alignas(64) headers) cannot false-share.
-  const bool parallel = options_.threads > 1 && used > 1;
-  const std::size_t lanes =
-      parallel ? static_cast<std::size_t>(options_.threads) : 1;
-  for (std::size_t w = 0; w < lanes; ++w) {
-    SolveScratch& s = *scratch_[w];
-    s.rounds = 0;
-    s.flows_scanned = 0;
-    s.resource_touches = 0;
-    s.scratch_grows = 0;
-    ensure_size(s.weight, resources_.size(), s.scratch_grows);
-    ensure_size(s.residual, resources_.size(), s.scratch_grows);
-    ensure_size(s.touch_stamp, resources_.size(), s.scratch_grows);
-    ensure_size(s.cand_stamp, flows_.size(), s.scratch_grows);
-    if (s.touched.capacity() < resources_.size()) {
-      ++s.scratch_grows;
-      s.touched.reserve(resources_.size());
-    }
-  }
-
-  if (parallel) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.threads);
-    }
-    ++stats_.parallel_batches;
-    if (obs_ != nullptr) obs_->metrics.add(m_parallel_batches_);
-    Bucket* const buckets = buckets_.data();
-    pool_->run(used, options_.deterministic,
-               [this, buckets](std::size_t i, int worker) {
-                 Bucket& b = buckets[i];
-                 solve_span(b.flows.data(), b.flows.size(),
-                            *scratch_[static_cast<std::size_t>(worker)]);
-               });
-  } else {
-    for (std::size_t i = 0; i < used; ++i) {
-      solve_span(buckets_[i].flows.data(), buckets_[i].flows.size(),
-                 *scratch_[0]);
-    }
+  SolveScratch& s = prepare_scratch();
+  for (std::size_t i = 0; i < used; ++i) {
+    solve_span(buckets_[i].flows.data(), buckets_[i].flows.size(), s);
   }
 
   for (ResourceId r : dirty_roots_) comp_dirty_[r] = 0;
@@ -618,29 +585,11 @@ void FlowSolver::solve_partitioned() const {
   all_dirty_ = false;
   detached_dirty_ = false;
 
-  std::uint64_t rounds = 0;
-  std::uint64_t scanned = 0;
-  std::uint64_t touches = 0;
-  std::uint64_t grows = 0;
-  for (std::size_t w = 0; w < lanes; ++w) {
-    const SolveScratch& s = *scratch_[w];
-    rounds += s.rounds;
-    scanned += s.flows_scanned;
-    touches += s.resource_touches;
-    grows += s.scratch_grows;
-  }
-  stats_.rounds += rounds;
-  stats_.flows_scanned += scanned;
-  stats_.resource_touches += touches;
-  stats_.scratch_grows += grows;
+  record_solve_counters(s);
   stats_.components = components;
   stats_.dirty_components = used;
   stats_.largest_component_flows = largest;
   if (obs_ != nullptr) {
-    obs_->metrics.add(m_rounds_, static_cast<double>(rounds));
-    obs_->metrics.observe(m_rounds_hist_, static_cast<double>(rounds));
-    obs_->metrics.add(m_flows_scanned_, static_cast<double>(scanned));
-    obs_->metrics.add(m_touches_, static_cast<double>(touches));
     obs_->metrics.set(m_components_, static_cast<double>(components));
     obs_->metrics.set(m_largest_comp_, static_cast<double>(largest));
   }

@@ -30,13 +30,12 @@ class FluidSimulation {
   /// creates on it. The solver must outlive the simulation.
   explicit FluidSimulation(FlowSolver& solver) : solver_(solver) {}
 
-  /// Same, but reconfigures the solver's execution engine (threads /
-  /// component partitioning / determinism; simcore/solve_options.h) up
-  /// front. run() naturally batches event application between solves —
-  /// every start and control due at an instant applies before the one
-  /// re-solve — so with partitioning enabled a batch dirties its
-  /// components once and they re-solve together (concurrently when
-  /// threads > 1).
+  /// Same, but reconfigures the solver's execution engine (component
+  /// partitioning; simcore/solve_options.h) up front. run() naturally
+  /// batches event application between solves — every start and control
+  /// due at an instant applies before the one re-solve — so with
+  /// partitioning enabled a batch dirties its components once and they
+  /// re-solve together.
   FluidSimulation(FlowSolver& solver, const SolveOptions& options)
       : solver_(solver) {
     solver_.set_options(options);

@@ -7,10 +7,6 @@
 // io::StreamSpec and faults::RandomPlanConfig follow the same shape.
 //
 // Semantics:
-//  - `threads` > 1 enables the sim::ThreadPool inside FlowSolver::solve().
-//    Components are solved concurrently; thread counts above the live
-//    component count simply leave workers idle. Asking for more threads
-//    than hardware cores is allowed (useful for determinism tests).
 //  - `partition` turns on resource-connected-component partitioning with
 //    per-component dirty tracking: flows in disjoint components cannot
 //    interact under max-min fairness, so a mutation re-solves only the
@@ -18,43 +14,22 @@
 //    is NOT bit-identical to the monolithic solver on multi-component
 //    graphs (the global water-filling delta is a min across components;
 //    summing per-component deltas reassociates the floating-point
-//    arithmetic). threads > 1 forces it on — parallelism needs the
-//    decomposition.
-//  - `deterministic` pins component -> worker assignment (component i of
-//    the solve runs on worker i mod threads). Rates are bit-identical
-//    either way (each component's arithmetic is self-contained); the flag
-//    additionally makes scheduling reproducible for debugging. Off, the
-//    pool load-balances by atomic work claiming.
-//
-// Determinism contract (tested in tests/test_flow_solver_parallel.cpp):
-// for a fixed mutation history, the rate vector is a pure function of
-// `partition` alone — any thread count, deterministic or not, produces
-// bit-identical rates.
+//    arithmetic).
+//  - `threads` must be 1: the solver runs on the calling thread.
+//    FlowSolver rejects any other value with StatusCode::kUsage.
 #pragma once
 
 namespace numaio::sim {
 
 struct SolveOptions {
-  /// Worker threads for component solves; 1 = solve inline, no pool.
+  /// Solver threads. Only 1 is accepted.
   int threads = 1;
   /// Solve resource-connected components independently with per-component
-  /// dirty caching. Implied by threads > 1.
+  /// dirty caching.
   bool partition = false;
-  /// Fixed component->thread assignment instead of atomic work claiming.
-  bool deterministic = true;
-
-  /// Options as the solver will actually run them (threads clamped to
-  /// >= 1, partition implied by threads > 1).
-  SolveOptions normalized() const {
-    SolveOptions n = *this;
-    if (n.threads < 1) n.threads = 1;
-    if (n.threads > 1) n.partition = true;
-    return n;
-  }
 
   friend bool operator==(const SolveOptions& a, const SolveOptions& b) {
-    return a.threads == b.threads && a.partition == b.partition &&
-           a.deterministic == b.deterministic;
+    return a.threads == b.threads && a.partition == b.partition;
   }
 };
 

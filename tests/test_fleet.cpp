@@ -18,6 +18,7 @@
 #include "fleet/breaker.h"
 #include "fleet/fleet.h"
 #include "obs/obs.h"
+#include "simcore/rng.h"
 
 namespace numaio::fleet {
 namespace {
@@ -48,6 +49,41 @@ TEST(TokenBucketTest, TimeNeverRunsBackwards) {
   EXPECT_TRUE(bucket.try_take(1.0e9));
   const double level = bucket.tokens(1.0e9);
   EXPECT_DOUBLE_EQ(bucket.tokens(0.5e9), level);  // stale clock: no refill
+}
+
+// --- PriorityFifo --------------------------------------------------------
+
+TEST(PriorityFifoTest, BestAndVictimAreOppositeEnds) {
+  PriorityFifo fifo;
+  fifo.push({0, 1}, 0);
+  fifo.push({1, 3}, 1);
+  fifo.push({2, 1}, 2);
+  fifo.push({3, 3}, 3);
+  ASSERT_EQ(fifo.size(), 4);
+  // best: highest priority, earliest seq. victim: lowest priority,
+  // latest seq.
+  EXPECT_EQ(fifo.best().item.request, 1);
+  EXPECT_EQ(fifo.victim().item.request, 2);
+  EXPECT_EQ(fifo.pop_best().request, 1);
+  EXPECT_EQ(fifo.pop_victim().request, 2);
+  EXPECT_EQ(fifo.pop_best().request, 3);
+  EXPECT_EQ(fifo.pop_best().request, 0);
+  EXPECT_TRUE(fifo.empty());
+}
+
+TEST(PriorityFifoTest, RemoveDropsExactlyTheNamedRequest) {
+  PriorityFifo fifo;
+  for (int i = 0; i < 6; ++i) {
+    fifo.push({i, i % 2}, static_cast<std::uint64_t>(i));
+  }
+  EXPECT_TRUE(fifo.remove(3));
+  EXPECT_FALSE(fifo.remove(3));  // already gone
+  EXPECT_FALSE(fifo.remove(99));
+  EXPECT_EQ(fifo.size(), 5);
+  // Pop everything; 3 must not appear.
+  std::vector<int> popped;
+  while (!fifo.empty()) popped.push_back(fifo.pop_best().request);
+  EXPECT_EQ(popped, (std::vector<int>{1, 5, 0, 2, 4}));
 }
 
 // --- BoundedQueue --------------------------------------------------------
@@ -112,6 +148,77 @@ TEST(BoundedQueueTest, RemoveDropsTheNamedRequest) {
   EXPECT_TRUE(q.remove(1));
   EXPECT_FALSE(q.remove(1));
   EXPECT_EQ(q.pop().request, 2);
+}
+
+TEST(BoundedQueueTest, PropertyMatchesLinearScanReference) {
+  // Replays a randomized push/pop/remove trace against a linear-scan
+  // model of the queue contract: pop = highest priority, earliest
+  // arrival; shed = lowest priority, latest arrival, the incoming item
+  // unless it outranks that minimum. The trace runs well past the depth
+  // bound so the shed path is exercised constantly.
+  struct Entry {
+    int request;
+    int priority;
+  };
+  sim::Rng rng(1234);
+  BoundedQueue queue(/*max_depth=*/24);
+  std::vector<Entry> model;  // arrival order
+  int next_request = 0;
+  long long sheds = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t pick = rng.below(10);
+    if (pick < 6) {
+      const Entry in{next_request++, static_cast<int>(rng.below(4))};
+      const auto got = queue.push({in.request, in.priority});
+      int want_victim = -1;
+      if (static_cast<int>(model.size()) < 24) {
+        model.push_back(in);
+      } else {
+        std::size_t v = 0;
+        for (std::size_t i = 1; i < model.size(); ++i) {
+          if (model[i].priority <= model[v].priority) v = i;
+        }
+        if (in.priority <= model[v].priority) {
+          want_victim = in.request;
+        } else {
+          want_victim = model[v].request;
+          model.erase(model.begin() + static_cast<std::ptrdiff_t>(v));
+          model.push_back(in);
+        }
+      }
+      ASSERT_EQ(got.shed, want_victim >= 0) << "op " << op;
+      ASSERT_EQ(got.accepted, want_victim != in.request) << "op " << op;
+      if (got.shed) {
+        ASSERT_EQ(got.victim.request, want_victim) << "op " << op;
+        ++sheds;
+      }
+    } else if (pick < 9) {
+      ASSERT_EQ(queue.empty(), model.empty());
+      if (!model.empty()) {
+        std::size_t b = 0;
+        for (std::size_t i = 1; i < model.size(); ++i) {
+          if (model[i].priority > model[b].priority) b = i;
+        }
+        ASSERT_EQ(queue.pop().request, model[b].request) << "op " << op;
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(b));
+      }
+    } else if (next_request > 0) {
+      const int target = static_cast<int>(rng.below(
+          static_cast<std::uint64_t>(next_request)));
+      bool present = false;
+      for (std::size_t i = 0; i < model.size(); ++i) {
+        if (model[i].request != target) continue;
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(i));
+        present = true;
+        break;
+      }
+      ASSERT_EQ(queue.remove(target), present) << "op " << op;
+    }
+    ASSERT_EQ(queue.depth(), static_cast<int>(model.size())) << "op " << op;
+  }
+  // The trace must have actually shed, or the property above never
+  // touched the interesting path.
+  EXPECT_GT(sheds, 100);
 }
 
 // --- CircuitBreaker ------------------------------------------------------
@@ -214,6 +321,42 @@ TEST(AdmissionStatusTest, RejectionIsTypedOverloaded) {
 }
 
 // --- FleetSim ------------------------------------------------------------
+
+TEST(FleetSimTest, RejectsAnyParallelismKnobButOne) {
+  // shards / queue_shards / event_lanes remain as fields that must be 1;
+  // anything else is a typed usage error that names the field.
+  const auto message_for = [](void (*set)(FleetConfig&, int), int value) {
+    FleetConfig config;
+    set(config, value);
+    const Status status = config.validate();
+    EXPECT_EQ(status.code, StatusCode::kUsage);
+    return status.message;
+  };
+  for (const int value : {0, 2, 8}) {
+    EXPECT_NE(message_for([](FleetConfig& c, int v) { c.shards = v; }, value)
+                  .find("shards"),
+              std::string::npos);
+    EXPECT_NE(
+        message_for([](FleetConfig& c, int v) { c.queue_shards = v; }, value)
+            .find("queue_shards"),
+        std::string::npos);
+    EXPECT_NE(
+        message_for([](FleetConfig& c, int v) { c.event_lanes = v; }, value)
+            .find("event_lanes"),
+        std::string::npos);
+  }
+  EXPECT_TRUE(FleetConfig{}.validate().ok());
+  FleetConfig threaded;
+  threaded.solve.threads = 4;
+  try {
+    FleetSim sim(threaded, {TenantSpec{}});
+    sim.run();
+    ADD_FAILURE() << "solve.threads = 4 was accepted";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kUsage);
+    EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos);
+  }
+}
 
 TEST(FleetSimTest, RejectsDegenerateConfigs) {
   EXPECT_THROW(FleetSim(FleetConfig{}, {}), StatusError);

@@ -1,153 +1,27 @@
-// Fleet-scale request path tests (DESIGN.md §12): the sharded admission
-// state (tenant -> shard map, batched verdicts bit-identical to the
-// per-request path, retry budgets isolated per tenant), and whole-run
-// properties of the scale scenario — serialized traces invariant to the
-// shard count, batched epochs replacing per-request admit/reject events,
-// and shedding spread fairly across shards instead of concentrating in
-// one arena. Every scale run here uses >= 2,000 tenants.
+// Fleet-scale request path tests (DESIGN.md §12): whole-run properties
+// of the scale scenario — batched quota verdicts identical to the
+// per-request path, batched epochs replacing per-request admit/reject
+// events, mixed-SKU class placement, shedding spread across the
+// lowest-priority tenants, retry budgets held per tenant, and request
+// conservation across scenarios and seeds. Every scale run here uses
+// >= 2,000 tenants.
 #include <gtest/gtest.h>
 
-#include <set>
-#include <sstream>
+#include <algorithm>
+#include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
-#include "fleet/admission.h"
 #include "fleet/fleet.h"
-#include "fleet/shard.h"
 #include "obs/obs.h"
-#include "simcore/rng.h"
-#include "simcore/thread_pool.h"
 
 namespace numaio::fleet {
 namespace {
 
 constexpr int kTenants = 2000;
 
-std::vector<TenantSpec> scale_specs(int n) {
-  std::vector<TenantSpec> specs;
-  specs.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    TenantSpec s;
-    s.name = "t";
-    s.name += std::to_string(t);
-    s.priority = t % 4;
-    s.quota_rate_per_s = 40.0 + t % 7;
-    s.quota_burst = 4.0;
-    s.retry_budget = 8;
-    specs.push_back(std::move(s));
-  }
-  return specs;
-}
-
-// --- ShardSet ------------------------------------------------------------
-
-TEST(ShardSetTest, TenantMapIsDeterministicAndSpreads) {
-  // Sequential tenant ids must not cluster: with 2,000 tenants over 8
-  // shards every shard gets a meaningful population.
-  std::vector<int> population(8, 0);
-  for (int t = 0; t < kTenants; ++t) {
-    const int s = shard_of_tenant(t, 8);
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, 8);
-    EXPECT_EQ(s, shard_of_tenant(t, 8));  // pure function of (t, shards)
-    ++population[static_cast<std::size_t>(s)];
-  }
-  for (const int p : population) EXPECT_GT(p, kTenants / 16);
-  // Degenerate shard counts collapse to shard 0.
-  EXPECT_EQ(shard_of_tenant(123, 1), 0);
-  EXPECT_EQ(shard_of_tenant(123, 0), 0);
-}
-
-TEST(ShardSetTest, ShardOfMatchesFreeFunction) {
-  const auto specs = scale_specs(kTenants);
-  ShardSet set(specs, 8);
-  EXPECT_EQ(set.num_shards(), 8);
-  for (int t = 0; t < kTenants; ++t) {
-    EXPECT_EQ(set.shard_of(t), shard_of_tenant(t, 8));
-  }
-}
-
-TEST(ShardSetTest, BatchVerdictsMatchPerRequestPathAcrossShardCounts) {
-  // The contract the batched admission epoch rests on: verdicts from a
-  // parallel multi-shard drain are bit-identical to taking each token
-  // bucket serially in arrival order, for any shard count.
-  const auto specs = scale_specs(kTenants);
-  sim::Rng rng(404);
-  std::vector<ShardSet::Arrival> arrivals;
-  sim::Ns clock = 0.0;
-  for (int i = 0; i < 6000; ++i) {
-    clock += rng.uniform(0.0, 2.0e4);
-    arrivals.push_back(
-        {static_cast<int>(rng.below(kTenants)), clock});
-  }
-
-  // Reference: one bucket per tenant, drained serially.
-  std::vector<TokenBucket> reference;
-  reference.reserve(specs.size());
-  for (const auto& s : specs) {
-    reference.emplace_back(s.quota_rate_per_s, s.quota_burst);
-  }
-  std::vector<unsigned char> expected;
-  for (const auto& a : arrivals) {
-    expected.push_back(
-        reference[static_cast<std::size_t>(a.tenant)].try_take(a.at) ? 1
-                                                                     : 0);
-  }
-
-  sim::ThreadPool pool(4);
-  for (const int shards : {1, 3, 8}) {
-    ShardSet set(specs, shards);
-    std::vector<unsigned char> verdicts;
-    set.admit_batch(arrivals, verdicts, shards > 1 ? &pool : nullptr);
-    EXPECT_EQ(verdicts, expected) << shards << " shards";
-  }
-}
-
-TEST(ShardSetTest, RetryBudgetsDoNotLeakAcrossShards) {
-  // Draining one tenant's retry budget must not move any other tenant's
-  // — in its own shard or any other.
-  const auto specs = scale_specs(kTenants);
-  ShardSet set(specs, 8);
-  std::set<int> drained;
-  for (int t = 0; t < kTenants; t += 97) {
-    set.retry_budget(t) = 0;
-    drained.insert(t);
-  }
-  for (int t = 0; t < kTenants; ++t) {
-    EXPECT_EQ(set.retry_budget(t), drained.count(t) ? 0 : 8) << t;
-  }
-}
-
 // --- whole-run scale properties ------------------------------------------
-
-std::string serialized_scale_run(int shards, std::uint64_t seed) {
-  StormScenario storm = make_scale_storm(
-      /*num_hosts=*/8, /*num_tenants=*/kTenants, /*offered_rps=*/30000.0,
-      seed, /*horizon=*/0.4e9);
-  storm.config.shards = shards;
-  std::ostringstream out;
-  obs::Context ctx;
-  obs::JsonlSink sink(out);
-  ctx.trace.set_deterministic(true);
-  ctx.trace.set_sink(&sink);
-  FleetSim sim(storm.config, storm.tenants);
-  sim.set_fault_plan(storm.plan);
-  sim.set_observer(&ctx);
-  sim.run();
-  return out.str();
-}
-
-TEST(FleetScaleTest, TracesAreByteIdenticalAcrossShardCounts) {
-  // The determinism contract: the shard count partitions work, it never
-  // changes outcomes — one shard and eight produce the same trace bytes.
-  const std::string one = serialized_scale_run(1, 29);
-  const std::string eight = serialized_scale_run(8, 29);
-  EXPECT_GT(one.size(), 0u);
-  EXPECT_EQ(one, eight);
-  // Still seed-sensitive (the comparison above is not trivially true).
-  EXPECT_NE(one, serialized_scale_run(8, 30));
-}
 
 TEST(FleetScaleTest, BatchedEpochsReplacePerRequestAdmissionEvents) {
   StormScenario storm =
@@ -187,48 +61,6 @@ TEST(FleetScaleTest, BatchedEpochsReplacePerRequestAdmissionEvents) {
   EXPECT_LE(report.placement_p50, report.placement_p99);
 }
 
-std::string serialized_engine_run(int event_lanes, int queue_shards,
-                                  std::uint64_t seed) {
-  StormScenario storm = make_scale_storm(
-      /*num_hosts=*/8, /*num_tenants=*/kTenants, /*offered_rps=*/30000.0,
-      seed, /*horizon=*/0.4e9);
-  storm.config.event_lanes = event_lanes;
-  storm.config.queue_shards = queue_shards;
-  std::ostringstream out;
-  obs::Context ctx;
-  obs::JsonlSink sink(out);
-  ctx.trace.set_deterministic(true);
-  ctx.trace.set_sink(&sink);
-  FleetSim sim(storm.config, storm.tenants);
-  sim.set_fault_plan(storm.plan);
-  sim.set_observer(&ctx);
-  sim.run();
-  return out.str();
-}
-
-TEST(FleetScaleTest, TracesAreByteIdenticalAcrossEventLanes) {
-  // The ISSUE 10 determinism contract: event lanes partition the host
-  // timelines, they never change outcomes — one lane (the serial
-  // reference), two, and eight produce the same trace bytes.
-  const std::string one = serialized_engine_run(/*event_lanes=*/1, 8, 31);
-  const std::string two = serialized_engine_run(/*event_lanes=*/2, 8, 31);
-  const std::string eight = serialized_engine_run(/*event_lanes=*/8, 8, 31);
-  EXPECT_GT(one.size(), 0u);
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, eight);
-  // Still seed-sensitive (the comparison above is not trivially true).
-  EXPECT_NE(one, serialized_engine_run(8, 8, 32));
-}
-
-TEST(FleetScaleTest, TracesAreByteIdenticalAcrossQueueShardCounts) {
-  // Same contract for the sharded post-admission queue: shed victims and
-  // dispatch order are global properties, whatever the shard count.
-  const std::string one = serialized_engine_run(1, /*queue_shards=*/1, 37);
-  const std::string eight = serialized_engine_run(1, /*queue_shards=*/8, 37);
-  EXPECT_GT(one.size(), 0u);
-  EXPECT_EQ(one, eight);
-}
-
 TEST(FleetScaleTest, MixedSkuFleetSplitsIntoClassesAndSpreads) {
   // make_scale_storm marks every third host as the lite SKU (~55% of the
   // ConnectX-3 ceilings): with 6 hosts, 2 and 5 run the slow NIC. The
@@ -246,19 +78,14 @@ TEST(FleetScaleTest, MixedSkuFleetSplitsIntoClassesAndSpreads) {
   EXPECT_GT(report.completed, 0);
   EXPECT_GE(ctx.metrics.value("placement.class_count"), 2.0);
   EXPECT_GT(ctx.metrics.value("placement.class_spread"), 0.0);
-  // The engine/queue instrumentation of the scale scenario is live.
-  EXPECT_EQ(ctx.metrics.value("fleet.queue_shards"), 8.0);
-  EXPECT_EQ(ctx.metrics.value("engine.lanes"), 6.0);  // one lane per host
-  EXPECT_GT(ctx.metrics.value("engine.lane_rounds"), 0.0);
-  EXPECT_GT(report.lane_rounds, 0);
+  // Completion alarms run on the per-host engine lanes.
+  EXPECT_GT(ctx.metrics.value("engine.lane_events"), 0.0);
 }
 
-TEST(FleetScaleTest, SheddingIsSpreadFairlyAcrossShards) {
+TEST(FleetScaleTest, SheddingIsSpreadAcrossTenants) {
   // Overload a small fleet hard enough that the bounded queue sheds, and
-  // check no shard's tenants are singled out: sheds land in every shard,
-  // none absorbs a majority. (Priorities cycle t % 4, and the tenant
-  // hash spreads priorities evenly across shards, so a fair queue sheds
-  // evenly by shard even though it sheds strictly by priority.)
+  // check no tenant is singled out: sheds land on many tenants and no
+  // single tenant absorbs more than a small share of them.
   StormScenario storm = make_scale_storm(
       /*num_hosts=*/2, /*num_tenants=*/kTenants, /*offered_rps=*/60000.0,
       /*seed=*/17, /*horizon=*/0.4e9);
@@ -271,23 +98,50 @@ TEST(FleetScaleTest, SheddingIsSpreadFairlyAcrossShards) {
   EXPECT_GT(report.placement_p99, 0.0);
   EXPECT_LE(report.placement_p50, report.placement_p99);
   ASSERT_EQ(report.tenants.size(), static_cast<std::size_t>(kTenants));
-  std::vector<long long> shed_by_shard(8, 0);
-  for (int t = 0; t < kTenants; ++t) {
-    shed_by_shard[static_cast<std::size_t>(
-        shard_of_tenant(t, storm.config.shards))] +=
-        report.tenants[static_cast<std::size_t>(t)].shed;
+  int shed_tenants = 0;
+  long long max_shed = 0;
+  for (const TenantStats& t : report.tenants) {
+    if (t.shed > 0) ++shed_tenants;
+    max_shed = std::max(max_shed, t.shed);
   }
-  for (int s = 0; s < 8; ++s) {
-    EXPECT_GT(shed_by_shard[static_cast<std::size_t>(s)], 0) << "shard " << s;
-    EXPECT_LT(shed_by_shard[static_cast<std::size_t>(s)], report.shed / 2)
-        << "shard " << s;
+  EXPECT_GT(shed_tenants, kTenants / 2);
+  EXPECT_LT(max_shed, report.shed / 100);
+}
+
+TEST(FleetScaleTest, BatchedQuotaVerdictsMatchPerRequestPath) {
+  // The contract batched admission rests on: buckets refill to each
+  // request's original submit time, so an epoch drain reaches the same
+  // quota verdicts as admitting every arrival on its own. Arrivals come
+  // from per-tenant streams, so both runs offer identical requests.
+  StormScenario storm =
+      make_scale_storm(4, kTenants, 40000.0, /*seed=*/41, /*horizon=*/0.3e9);
+  // Tight buckets so the quota actually rejects.
+  for (TenantSpec& t : storm.tenants) {
+    t.quota_rate_per_s = t.arrival_rate_per_s * 0.6;
+    t.quota_burst = 2.0;
+  }
+  FleetSim batched(storm.config, storm.tenants);
+  batched.set_fault_plan(storm.plan);
+  const FleetReport b = batched.run();
+  StormScenario serial = storm;
+  serial.config.batch_window = 0.0;
+  FleetSim per_request(serial.config, serial.tenants);
+  per_request.set_fault_plan(serial.plan);
+  const FleetReport p = per_request.run();
+
+  ASSERT_GT(b.rejected_quota, 0);
+  ASSERT_EQ(b.tenants.size(), p.tenants.size());
+  for (std::size_t t = 0; t < b.tenants.size(); ++t) {
+    EXPECT_EQ(b.tenants[t].submitted, p.tenants[t].submitted) << t;
+    EXPECT_EQ(b.tenants[t].rejected_quota, p.tenants[t].rejected_quota)
+        << t;
   }
 }
 
 TEST(FleetScaleTest, RetryBudgetsStayPerTenantUnderLoad) {
   // A run where retries happen (host crash mid-run) must never push any
-  // tenant past its own budget: retries are per-tenant state in the
-  // tenant's shard, not a shared pool that a hot shard could drain.
+  // tenant past its own budget: retries are per-tenant state, not a
+  // shared pool that one hot tenant could drain.
   StormScenario storm =
       make_scale_storm(4, kTenants, 20000.0, /*seed=*/23, /*horizon=*/0.5e9);
   FleetSim sim(storm.config, storm.tenants);
@@ -303,6 +157,91 @@ TEST(FleetScaleTest, RetryBudgetsStayPerTenantUnderLoad) {
   }
   EXPECT_EQ(total_retries, report.retries);
 }
+
+// --- request conservation ------------------------------------------------
+
+enum class Scenario { kStormPerRequest, kStormBatched, kScale };
+
+struct ConservationCase {
+  Scenario scenario;
+  std::uint64_t seed;
+};
+
+StormScenario conservation_scenario(const ConservationCase& c) {
+  switch (c.scenario) {
+    case Scenario::kStormPerRequest:
+      return make_storm(4, 3, 1200.0, c.seed, 2.0e9);
+    case Scenario::kStormBatched: {
+      StormScenario storm = make_storm(4, 3, 1200.0, c.seed, 2.0e9);
+      storm.config.batch_window = 2.0e6;
+      return storm;
+    }
+    case Scenario::kScale:
+      break;
+  }
+  return make_scale_storm(3, kTenants, 40000.0, c.seed, 0.4e9);
+}
+
+class FleetConservation : public ::testing::TestWithParam<ConservationCase> {};
+
+TEST_P(FleetConservation, EveryRequestEndsExactlyOnce) {
+  // Every submitted request is rejected by quota, shed from the queue,
+  // completed or failed — exactly one of them; and every admitted one
+  // reaches a terminal outcome. Both identities hold per tenant and in
+  // total.
+  StormScenario storm = conservation_scenario(GetParam());
+  FleetSim sim(storm.config, storm.tenants);
+  sim.set_fault_plan(storm.plan);
+  const FleetReport r = sim.run();
+
+  ASSERT_GT(r.submitted, 0);
+  long long submitted = 0;
+  long long admitted = 0;
+  for (const TenantStats& t : r.tenants) {
+    EXPECT_EQ(t.submitted, t.rejected_quota + t.shed + t.completed + t.failed)
+        << t.name;
+    EXPECT_EQ(t.admitted, t.completed + t.failed + t.shed) << t.name;
+    submitted += t.submitted;
+    admitted += t.admitted;
+  }
+  EXPECT_EQ(r.submitted, submitted);
+  EXPECT_EQ(r.admitted, admitted);
+  EXPECT_EQ(r.submitted, r.rejected_quota + r.shed + r.completed + r.failed);
+  EXPECT_EQ(r.admitted, r.completed + r.failed + r.shed);
+}
+
+std::vector<ConservationCase> conservation_cases() {
+  std::vector<ConservationCase> cases;
+  for (const Scenario s : {Scenario::kStormPerRequest, Scenario::kStormBatched,
+                           Scenario::kScale}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) cases.push_back({s, seed});
+  }
+  return cases;
+}
+
+std::string case_name(const ConservationCase& c) {
+  const char* scenario = "scale";
+  if (c.scenario == Scenario::kStormPerRequest) {
+    scenario = "storm_per_request";
+  } else if (c.scenario == Scenario::kStormBatched) {
+    scenario = "storm_batched";
+  }
+  return std::string(scenario) + "_seed" + std::to_string(c.seed);
+}
+
+// Names the case in gtest output instead of dumping its bytes.
+void PrintTo(const ConservationCase& c, std::ostream* os) {
+  *os << case_name(c);
+}
+
+std::string conservation_name(
+    const ::testing::TestParamInfo<ConservationCase>& info) {
+  return case_name(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, FleetConservation,
+                         ::testing::ValuesIn(conservation_cases()),
+                         conservation_name);
 
 }  // namespace
 }  // namespace numaio::fleet

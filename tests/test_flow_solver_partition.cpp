@@ -1,93 +1,28 @@
-// The partitioned / parallel execution engine of FlowSolver
-// (SolveOptions; DESIGN.md §11): the ThreadPool contract, per-component
-// bit-identity against the frozen reference solver under sharded churn,
-// the thread-count-invariance determinism contract (1 == 2 == 8 threads,
-// bitwise), dirty-component caching, union-find rebuilds after removal
-// churn, the typed-Status dead-id mutators, and byte-identical I/O
-// traces across thread counts.
+// The partitioned execution engine of FlowSolver (SolveOptions;
+// DESIGN.md §11): per-component bit-identity against the frozen
+// reference solver under sharded churn, agreement with the monolithic
+// solver over random histories, dirty-component caching,
+// union-find rebuilds after removal churn, the single-thread option
+// contract, and the typed-Status dead-id mutators.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "io/fio.h"
-#include "io/testbed.h"
-#include "obs/obs.h"
 #include "reference_flow_solver.h"
 #include "simcore/flow_solver.h"
 #include "simcore/rng.h"
 #include "simcore/solve_options.h"
-#include "simcore/thread_pool.h"
 
 namespace numaio::sim {
 namespace {
 
-SolveOptions options_for(int threads) {
+SolveOptions partitioned() {
   SolveOptions o;
-  o.threads = threads;
   o.partition = true;
   return o;
-}
-
-// --- ThreadPool ----------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.threads(), 4);
-  std::vector<std::atomic<int>> hits(101);
-  for (auto& h : hits) h.store(0);
-  pool.run(101, /*deterministic=*/true, [&](std::size_t i, int worker) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 4);
-    hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, DeterministicModePinsIndexToWorker) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> worker_of(10);
-  for (auto& w : worker_of) w.store(-1);
-  pool.run(10, /*deterministic=*/true, [&](std::size_t i, int worker) {
-    worker_of[i].store(worker);
-  });
-  for (std::size_t i = 0; i < worker_of.size(); ++i) {
-    EXPECT_EQ(worker_of[i].load(), static_cast<int>(i % 3));
-  }
-}
-
-TEST(ThreadPool, DynamicModeStillCoversEveryIndex) {
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  std::vector<std::atomic<int>> hits(57);
-  for (auto& h : hits) h.store(0);
-  pool.run(57, /*deterministic=*/false, [&](std::size_t i, int) {
-    hits[i].fetch_add(1);
-    total.fetch_add(1);
-  });
-  EXPECT_EQ(total.load(), 57);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ReusableAcrossBatchesAndClampsThreads) {
-  ThreadPool pool(0);  // clamps to 1: everything inline on the caller
-  EXPECT_EQ(pool.threads(), 1);
-  int calls = 0;
-  for (int batch = 0; batch < 3; ++batch) {
-    pool.run(5, true, [&](std::size_t, int worker) {
-      EXPECT_EQ(worker, 0);
-      ++calls;
-    });
-  }
-  EXPECT_EQ(calls, 15);
-  pool.run(0, true, [&](std::size_t, int) { ++calls; });  // empty batch
-  EXPECT_EQ(calls, 15);
 }
 
 // --- Sharded churn: bit-identity per component ---------------------------
@@ -108,14 +43,14 @@ struct Shard {
   std::vector<LiveFlow> live;  ///< Insertion order, spanning flow first.
 };
 
-class ParallelSolverProperty
+class PartitionedSolverProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ParallelSolverProperty, ShardedChurnMatchesReferencePerShard) {
+TEST_P(PartitionedSolverProperty, ShardedChurnMatchesReferencePerShard) {
   constexpr std::size_t kShards = 5;
   constexpr std::size_t kResPerShard = 3;
   Rng rng(GetParam() * 6151 + 7);
-  FlowSolver solver(options_for(2));
+  FlowSolver solver(partitioned());
 
   std::vector<Shard> shards(kShards);
   for (Shard& shard : shards) {
@@ -191,10 +126,12 @@ TEST_P(ParallelSolverProperty, ShardedChurnMatchesReferencePerShard) {
   EXPECT_EQ(solver.stats().components, kShards);
 }
 
-// The determinism contract: for a fixed mutation history the rate vector
-// is a pure function of `partition` alone — any thread count (and either
-// scheduling mode) produces bitwise-identical rates and aggregates.
-TEST_P(ParallelSolverProperty, RatesAreInvariantAcrossThreadCounts) {
+// Over a random add/remove history on a multi-component network the
+// partitioned solver must (a) be a pure function of that history — a
+// second run reproduces every checkpoint bit for bit, so component
+// caching carries no hidden state — and (b) agree with the monolithic
+// solver up to floating-point reordering across components.
+TEST_P(PartitionedSolverProperty, RatesMatchMonolithicAcrossHistory) {
   const auto run_history = [&](const SolveOptions& options) {
     Rng rng(GetParam() * 31 + 5);
     FlowSolver solver(options);
@@ -225,39 +162,33 @@ TEST_P(ParallelSolverProperty, RatesAreInvariantAcrossThreadCounts) {
       }
       if (op % 5 == 0) {
         const auto& rates = solver.solve();
-        checkpoints.insert(checkpoints.end(), rates.begin(), rates.end());
+        for (const FlowId f : live) checkpoints.push_back(rates[f]);
         checkpoints.push_back(solver.aggregate_rate());
       }
     }
     return checkpoints;
   };
 
-  const auto t1 = run_history(options_for(1));
-  const auto t2 = run_history(options_for(2));
-  const auto t8 = run_history(options_for(8));
-  ASSERT_EQ(t1.size(), t2.size());
-  ASSERT_EQ(t1.size(), t8.size());
-  for (std::size_t i = 0; i < t1.size(); ++i) {
-    ASSERT_EQ(t1[i], t2[i]) << "checkpoint value " << i;
-    ASSERT_EQ(t1[i], t8[i]) << "checkpoint value " << i;
-  }
-  // Dynamic scheduling must not change the arithmetic either.
-  SolveOptions dynamic = options_for(8);
-  dynamic.deterministic = false;
-  const auto td = run_history(dynamic);
-  ASSERT_EQ(t1.size(), td.size());
-  for (std::size_t i = 0; i < t1.size(); ++i) {
-    ASSERT_EQ(t1[i], td[i]) << "checkpoint value " << i;
+  const auto part = run_history(partitioned());
+  const auto again = run_history(partitioned());
+  const auto mono = run_history(SolveOptions{});
+  ASSERT_FALSE(part.empty());
+  ASSERT_EQ(part.size(), again.size());
+  ASSERT_EQ(part.size(), mono.size());
+  for (std::size_t i = 0; i < part.size(); ++i) {
+    ASSERT_EQ(part[i], again[i]) << "checkpoint value " << i;
+    ASSERT_NEAR(part[i], mono[i], 1e-9 * (1.0 + mono[i]))
+        << "checkpoint value " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomShardedNetworks, ParallelSolverProperty,
+INSTANTIATE_TEST_SUITE_P(RandomShardedNetworks, PartitionedSolverProperty,
                          ::testing::Range<std::uint64_t>(1, 13));
 
 // On a single-component graph the partitioned engine degenerates to the
 // monolithic walk (same flows, same insertion order), so partition on/off
 // must agree bitwise there — the FP caveat is multi-component only.
-TEST(FlowSolverParallel, SingleComponentMatchesMonolithicBitwise) {
+TEST(FlowSolverPartition, SingleComponentMatchesMonolithicBitwise) {
   const auto build = [](const SolveOptions& options) {
     FlowSolver s(options);
     const ResourceId a = s.add_resource("a", 10.0);
@@ -270,7 +201,7 @@ TEST(FlowSolverParallel, SingleComponentMatchesMonolithicBitwise) {
     return s;
   };
   FlowSolver mono = build(SolveOptions{});
-  FlowSolver part = build(options_for(1));
+  FlowSolver part = build(partitioned());
   const auto& mr = mono.solve();
   const auto& pr = part.solve();
   ASSERT_EQ(mr.size(), pr.size());
@@ -281,8 +212,8 @@ TEST(FlowSolverParallel, SingleComponentMatchesMonolithicBitwise) {
 
 // --- Dirty-component caching ---------------------------------------------
 
-TEST(FlowSolverParallel, MutationReSolvesOnlyItsComponent) {
-  FlowSolver s(options_for(1));
+TEST(FlowSolverPartition, MutationReSolvesOnlyItsComponent) {
+  FlowSolver s(partitioned());
   const ResourceId a1 = s.add_resource("a1", 10.0);
   const ResourceId a2 = s.add_resource("a2", 20.0);
   const ResourceId b1 = s.add_resource("b1", 15.0);
@@ -308,28 +239,48 @@ TEST(FlowSolverParallel, MutationReSolvesOnlyItsComponent) {
   EXPECT_EQ(s.stats().dirty_components, 1u);
 }
 
-TEST(FlowSolverParallel, ParallelBatchesCountPoolDispatches) {
-  FlowSolver s(options_for(8));
+TEST(FlowSolverPartition, ComponentStatsDescribeTheDecomposition) {
+  FlowSolver s(partitioned());
   std::vector<FlowId> flows;
   for (int i = 0; i < 4; ++i) {
     const ResourceId r = s.add_resource("r", 10.0 + i);
     flows.push_back(s.add_flow_over({r}));
   }
-  EXPECT_EQ(s.stats().parallel_batches, 0u);
   (void)s.solve();
   EXPECT_EQ(s.stats().components, 4u);
+  EXPECT_EQ(s.stats().dirty_components, 4u);
   EXPECT_EQ(s.stats().largest_component_flows, 1u);
-  EXPECT_EQ(s.stats().parallel_batches, 1u);
-  // One dirty component is not worth a fan-out: no new batch.
   s.set_flow_cap(flows[0], 2.0);
   (void)s.solve();
-  EXPECT_EQ(s.stats().parallel_batches, 1u);
+  EXPECT_EQ(s.stats().components, 4u);
+  EXPECT_EQ(s.stats().dirty_components, 1u);
+}
+
+// --- Single-thread option contract ---------------------------------------
+
+TEST(FlowSolverPartition, RejectsAnyThreadCountButOne) {
+  for (const int threads : {0, 2, 8}) {
+    SolveOptions options = partitioned();
+    options.threads = threads;
+    try {
+      FlowSolver s(options);
+      ADD_FAILURE() << threads << " threads accepted";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kUsage);
+      EXPECT_NE(std::string(e.what()).find("SolveOptions::threads"),
+                std::string::npos);
+    }
+    // set_options refuses it too, leaving the solver as it was.
+    FlowSolver s(partitioned());
+    EXPECT_THROW(s.set_options(options), StatusError);
+    EXPECT_EQ(s.options(), partitioned());
+  }
 }
 
 // --- Union-find rebuilds --------------------------------------------------
 
-TEST(FlowSolverParallel, RemovalChurnRebuildsAndSplitsComponents) {
-  FlowSolver s(options_for(1));
+TEST(FlowSolverPartition, RemovalChurnRebuildsAndSplitsComponents) {
+  FlowSolver s(partitioned());
   const ResourceId a1 = s.add_resource("a1", 10.0);
   const ResourceId a2 = s.add_resource("a2", 20.0);
   const ResourceId b1 = s.add_resource("b1", 15.0);
@@ -388,40 +339,6 @@ TEST(FlowSolverStatus, DeadIdMutatorsReturnUsageAndLeaveSolverIntact) {
   const FlowId h = s.add_flow_over({r});
   EXPECT_EQ(h, f);
   EXPECT_TRUE(s.set_flow_cap(h, 2.0).ok());
-}
-
-// --- Byte-identical traces across thread counts --------------------------
-
-std::string traced_fio_run(int threads) {
-  std::ostringstream out;
-  obs::Context ctx;
-  obs::JsonlSink sink(out);
-  ctx.trace.set_deterministic(true);
-  ctx.trace.set_sink(&sink);
-
-  io::Testbed tb = io::Testbed::dl585(options_for(threads));
-  tb.machine().solver().set_observer(&ctx);
-  io::FioRunner fio(tb.host());
-  fio.set_observer(&ctx);
-  io::FioJob job;
-  job.devices = {&tb.nic()};
-  job.engine = io::kRdmaWrite;
-  job.cpu_node = 2;
-  job.num_streams = 4;
-  (void)fio.run(job);
-  job.engine = io::kRdmaRead;
-  job.cpu_node = 5;
-  (void)fio.run(job);
-  return out.str();
-}
-
-TEST(FlowSolverParallel, FioTracesAreByteIdenticalAcrossThreadCounts) {
-  const std::string t1 = traced_fio_run(1);
-  const std::string t2 = traced_fio_run(2);
-  const std::string t8 = traced_fio_run(8);
-  ASSERT_FALSE(t1.empty());
-  EXPECT_EQ(t1, t2);
-  EXPECT_EQ(t1, t8);
 }
 
 }  // namespace

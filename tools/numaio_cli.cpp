@@ -94,9 +94,7 @@ int usage() {
       "  fleet [--hosts N] [--tenants N] [--rate RPS] [--seed S]\n"
       "        [--duration SECONDS] [--queue-depth N] [--deadline-ms MS]\n"
       "        [--plan FILE] [--print-plan] [--scale]\n"
-      "        [--shards N] [--batch-window MS]\n"
-      "        [--queue-shards N] [--event-lanes N]\n"
-      "        [--service fluid|coarse]\n"
+      "        [--batch-window MS] [--service fluid|coarse]\n"
       "        [--placement least-loaded|class-spread]\n"
       "        [--serve-port P] [--refresh-ms MS] [--linger-ms MS]\n"
       "                                   run the fleet serving core: a\n"
@@ -107,14 +105,9 @@ int usage() {
       "                                   replaces the default fault plan\n"
       "                                   (docs/FORMATS.md section 6);\n"
       "                                   --scale switches to the scale\n"
-      "                                   scenario (batched admission over\n"
-      "                                   sharded tenant state, coarse\n"
-      "                                   service, class-spread placement,\n"
-      "                                   a sharded post-admission queue\n"
-      "                                   and per-host event lanes —\n"
-      "                                   --queue-shards/--event-lanes\n"
-      "                                   override the partition counts,\n"
-      "                                   1 = serial reference);\n"
+      "                                   scenario (batched admission,\n"
+      "                                   coarse service, class-spread\n"
+      "                                   placement, a mixed-SKU fleet);\n"
       "                                   --serve-port exposes live\n"
       "                                   telemetry over HTTP during the\n"
       "                                   run (0 = ephemeral port)\n"
@@ -180,10 +173,6 @@ int usage() {
       "                                   exposition format\n"
       "  --chrome-out FILE                write the trace as Chrome\n"
       "                                   trace-event JSON (Perfetto)\n"
-      "  --solver-threads N               run the contention solver on N\n"
-      "                                   threads with component\n"
-      "                                   partitioning (N > 1); results\n"
-      "                                   are bit-identical to N=1\n"
       "exit codes: 0 ok, 1 runtime failure, 2 usage, 3 unreadable file,\n"
       "            4 malformed input file\n");
   return kExitUsage;
@@ -785,8 +774,7 @@ int cmd_faults(io::Testbed& tb, obs::Context& ctx,
 /// after the known flags are consumed is a usage error — this command is
 /// the template for scripting against exit codes, so typos must not
 /// silently become defaults.
-int cmd_fleet(obs::Context& ctx, std::vector<std::string>& args,
-              const sim::SolveOptions& solve) {
+int cmd_fleet(obs::Context& ctx, std::vector<std::string>& args) {
   const int hosts = take_int(args, "--hosts", 4);
   const int tenants = take_int(args, "--tenants", 3);
   const double rate = take_double(args, "--rate", 900.0);
@@ -800,9 +788,6 @@ int cmd_fleet(obs::Context& ctx, std::vector<std::string>& args,
   const int refresh_ms = take_int(args, "--refresh-ms", 250);
   const int linger_ms = take_int(args, "--linger-ms", 0);
   const bool scale = take_switch(args, "--scale");
-  const int shards = take_int(args, "--shards", 0);
-  const int queue_shards = take_int(args, "--queue-shards", 0);
-  const int event_lanes = take_int(args, "--event-lanes", 0);
   const double batch_window_ms = take_double(args, "--batch-window", -1.0);
   const std::string service = take_flag(args, "--service");
   const std::string placement = take_flag(args, "--placement");
@@ -816,9 +801,6 @@ int cmd_fleet(obs::Context& ctx, std::vector<std::string>& args,
   if (deadline_ms < 0.0) usage_error("--deadline-ms wants >= 0");
   if (serve_port > 65535) usage_error("--serve-port wants a port <= 65535");
   if (linger_ms < 0) usage_error("--linger-ms wants >= 0");
-  if (shards < 0) usage_error("--shards wants a positive count");
-  if (queue_shards < 0) usage_error("--queue-shards wants a positive count");
-  if (event_lanes < 0) usage_error("--event-lanes wants a positive count");
   if (!service.empty() && service != "fluid" && service != "coarse") {
     usage_error("--service wants 'fluid' or 'coarse'");
   }
@@ -827,20 +809,16 @@ int cmd_fleet(obs::Context& ctx, std::vector<std::string>& args,
     usage_error("--placement wants 'least-loaded' or 'class-spread'");
   }
 
-  // --scale swaps in the ISSUE 9 scale scenario (batched + sharded +
-  // coarse + class-spread); the individual flags then override either
-  // scenario's defaults.
+  // --scale swaps in the scale scenario (batched + coarse +
+  // class-spread); the individual flags then override either scenario's
+  // defaults.
   fleet::StormScenario storm =
       scale ? fleet::make_scale_storm(hosts, tenants, rate, seed,
                                       duration_s * 1e9)
             : fleet::make_storm(hosts, tenants, rate, seed,
                                 duration_s * 1e9);
-  storm.config.solve = solve;
   if (queue_depth > 0) storm.config.queue_depth = queue_depth;
   if (deadline_ms > 0.0) storm.config.deadline = deadline_ms * 1e6;
-  if (shards > 0) storm.config.shards = shards;
-  if (queue_shards > 0) storm.config.queue_shards = queue_shards;
-  if (event_lanes > 0) storm.config.event_lanes = event_lanes;
   if (batch_window_ms >= 0.0) {
     storm.config.batch_window = batch_window_ms * 1e6;
   }
@@ -889,8 +867,7 @@ int cmd_fleet(obs::Context& ctx, std::vector<std::string>& args,
 /// with the live tap attached the whole time, so /metrics and /report
 /// roll forward across rounds; then lingers `--linger-ms` before
 /// shutting the endpoint down.
-int cmd_serve(obs::Context& ctx, std::vector<std::string>& args,
-              const sim::SolveOptions& solve) {
+int cmd_serve(obs::Context& ctx, std::vector<std::string>& args) {
   const int port = take_int(args, "--port", 0);
   const int refresh_ms = take_int(args, "--refresh-ms", 250);
   const int rounds = take_int(args, "--rounds", 3);
@@ -931,7 +908,6 @@ int cmd_serve(obs::Context& ctx, std::vector<std::string>& args,
     fleet::StormScenario storm = fleet::make_storm(
         hosts, tenants, rate, seed + static_cast<std::uint64_t>(round),
         duration_s * 1e9);
-    storm.config.solve = solve;
     fleet::FleetSim sim(storm.config, storm.tenants);
     sim.set_fault_plan(std::move(storm.plan));
     sim.set_observer(&ctx);
@@ -1189,18 +1165,17 @@ namespace {
 /// hook with a wall-clock read on a hot path) so runs without --trace-out/
 /// --metrics-out cost nothing measurable.
 int dispatch(const std::string& cmd, std::vector<std::string>& args,
-             obs::Context& ctx, bool observing, obs::MemorySink* capture,
-             const sim::SolveOptions& solve) {
+             obs::Context& ctx, bool observing, obs::MemorySink* capture) {
   if (cmd == "metrics") return cmd_metrics(args);
   if (cmd == "classes") return cmd_classes(args);
   if (cmd == "export") return cmd_export(args);
   if (cmd == "synth-trace") return cmd_synth_trace(args);
   // `fleet` and `serve` build their own hosts (one testbed per fleet
   // host).
-  if (cmd == "fleet") return cmd_fleet(ctx, args, solve);
-  if (cmd == "serve") return cmd_serve(ctx, args, solve);
+  if (cmd == "fleet") return cmd_fleet(ctx, args);
+  if (cmd == "serve") return cmd_serve(ctx, args);
 
-  io::Testbed tb = io::Testbed::dl585(solve);
+  io::Testbed tb = io::Testbed::dl585();
   if (observing) tb.machine().solver().set_observer(&ctx);
   if (cmd == "report") return cmd_report(tb, ctx, capture, args);
   if (cmd == "hardware") return cmd_hardware(tb);
@@ -1236,13 +1211,6 @@ int main(int argc, char** argv) {
     const std::string prom_out = take_flag(args, "--prom-out");
     const std::string chrome_out = take_flag(args, "--chrome-out");
     const bool deterministic = take_switch(args, "--trace-deterministic");
-    const int solver_threads = take_int(args, "--solver-threads", 1);
-    if (solver_threads < 1) {
-      usage_error("--solver-threads wants a positive thread count");
-    }
-    sim::SolveOptions solve;
-    solve.threads = solver_threads;
-    solve.partition = solver_threads > 1;
 
     obs::Context ctx;
     ctx.trace.set_deterministic(deterministic);
@@ -1286,7 +1254,7 @@ int main(int argc, char** argv) {
     const bool observing = sink != nullptr || !metrics_out.empty() ||
                            !prom_out.empty();
     const int rc = dispatch(cmd, args, ctx, observing,
-                            need_capture ? &capture : nullptr, solve);
+                            need_capture ? &capture : nullptr);
     if (rc < 0) {
       std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
       return usage();
