@@ -710,12 +710,12 @@ BenchResult bench_fleet_storm() {
 }
 
 /// The fleet-scale request path (DESIGN.md §12): thousands of tenants at
-/// six-figure offered rps over 16 hosts, batched admission epochs over
-/// sharded tenant state, coarse service modeling, class-spread placement
-/// and a mid-run host crash. sched_rps carries the throughput contract —
-/// the perf guard holds it to an absolute 1e5 floor (it is simulated-time
-/// deterministic, so the floor gates capability, not host noise) — and
-/// placement_p99_ms pins the admission -> first-dispatch tail.
+/// 1.4e6 offered rps over 24 hosts, batched admission epochs, coarse
+/// service modeling, class-spread placement and a mid-run host crash.
+/// sched_rps carries the throughput contract — the perf guard holds it to
+/// an absolute 5e5 floor (it is simulated-time deterministic, so the
+/// floor gates capability, not host noise) — and placement_p99_ms pins
+/// the admission -> first-dispatch tail.
 BenchResult bench_fleet_scale() {
   using namespace numaio::fleet;
   return timed(2, [&] {

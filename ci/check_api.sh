@@ -17,7 +17,9 @@ trap 'rm -f "$TU" "$OBJ"' EXIT
 
 cat > "$TU" <<'EOF'
 // The whole public surface through the single supported include, and a
-// handful of odr-uses so the compiler instantiates what matters.
+// handful of odr-uses so the compiler instantiates what matters. The
+// typed function pointers pin the exact signatures of the config-aggregate
+// entry points.
 #include "numaio.h"
 
 int api_probe() {
@@ -26,8 +28,19 @@ int api_probe() {
   numaio::faults::RandomPlanConfig plan;
   numaio::model::IoModelConfig iomodel;
   iomodel.obs = &ctx;
+  numaio::faults::FaultPlan (*random_plan)(
+      const numaio::faults::RandomPlanConfig&) =
+      &numaio::faults::FaultPlan::random;
+  numaio::io::StreamShape (*shape)(numaio::fabric::Machine&,
+                                   const numaio::io::StreamSpec&) =
+      &numaio::io::shape_stream;
+  numaio::sim::EventEngine engine;
+  engine.schedule(1.0, /*phase=*/0, /*kind=*/0, /*id=*/2);
+  const std::optional<numaio::sim::EventEngine::Event> ev = engine.pop();
   return status.exit_code() + plan.num_events +
-         static_cast<int>(ctx.metrics.empty());
+         static_cast<int>(ctx.metrics.empty()) +
+         static_cast<int>(random_plan != nullptr) +
+         static_cast<int>(shape != nullptr) + (ev ? ev->id : 0);
 }
 EOF
 

@@ -2,14 +2,14 @@
 # Full CI pipeline. Usage: ci/run_all.sh [build-dir]
 #
 # 1. configure + build the default tree,
-# 2. run the full ctest suite,
-# 3. check the public API surface (ci/check_api.sh),
-# 4. smoke the streaming trace pipeline at scale: synth-trace writes a
+# 2. run the full ctest suite (the public API surface check,
+#    ci/check_api.sh, is its `ci_check_api` test),
+# 3. smoke the streaming trace pipeline at scale: synth-trace writes a
 #    10^6-record capture, then report + export stream it back (the
 #    CLI paths that must work on arbitrarily large files),
-# 5. gate perf against the committed baseline (ci/perf_guard.sh;
+# 4. gate perf against the committed baseline (ci/perf_guard.sh;
 #    metrics-only by default — see that script for wall-time gating),
-# 6. rebuild and re-test under ASan+UBSan (ci/sanitize.sh).
+# 5. rebuild and re-test under ASan+UBSan (ci/sanitize.sh).
 #
 # bash + `set -euo pipefail` so a failing stage — including one on the
 # left side of a pipe — fails the pipeline instead of scrolling past.
@@ -22,8 +22,6 @@ JOBS=$(nproc 2>/dev/null || echo 2)
 cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-
-"$ROOT/ci/check_api.sh"
 
 # Large-trace smoke: the full streaming pipeline over a million-record
 # capture. Fails if any stage slurps the file into memory badly enough to

@@ -29,13 +29,13 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   --gtest_filter='*SolverProperty*:FlowSolverCache.*:FlowSolverFreeList.*:FlowSolverCapacityFactor.*:FlowSolverScratch.*:FlowSolverPartition.*:FlowSolverStatus.*'
 
 # The fleet serving suite also runs standalone: its runtime is the one
-# place where event-engine callbacks hold (id, generation) handles across
+# place where event-engine events hold (id, generation) handles across
 # host crashes that tear down in-flight state — exactly where a stale
 # pointer or double-detach would surface as a use-after-free. The scale
 # suites (FleetScale, FleetConservation) add the batched admission path
 # and 2,000-tenant storm runs; PriorityFifo/BoundedQueue churn the
 # map-of-deque queue with a 20,000-op shed property trace, and
-# EventEngine covers the per-lane alarm heaps.
+# EventEngine covers the typed event heap and its phase order.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \

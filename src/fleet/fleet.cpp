@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -80,8 +81,8 @@ void FleetSim::set_observer(obs::Context* obs) { obs_ = obs; }
 namespace {
 
 /// One request's lifetime state. Lives in a stable-address arena for the
-/// whole run; event callbacks hold (id, generation) pairs, never pointers
-/// into containers that may reallocate.
+/// whole run; events carry (id, generation) pairs, never pointers into
+/// containers that may reallocate.
 struct Request {
   int id = 0;
   int tenant = 0;
@@ -92,9 +93,9 @@ struct Request {
   sim::Bytes bytes = 0;
   const char* engine = io::kTcpSend;
   int attempts = 0;
-  /// Bumped whenever the attempt state changes; timeout events captured an
-  /// older generation become no-ops.
-  int generation = 0;
+  /// Bumped whenever the attempt state changes; timeout and retry events
+  /// carrying an older generation are no-ops.
+  std::uint64_t generation = 0;
   bool done = false;
   bool queued = false;
   bool inflight = false;
@@ -119,9 +120,9 @@ struct HostState {
   /// serve nodes — per host since a mixed fleet has per-SKU values.
   double coarse_capacity = 0.0;
   const std::vector<topo::NodeId>* serve_nodes = nullptr;
-  /// The host's event lane advances the fluid state and parks finished
-  /// requests here; the merge hook commits them in host order
-  /// (DESIGN.md §13).
+  /// A completion alarm advances the fluid state and parks finished
+  /// requests here; the commit after the instant's last alarm publishes
+  /// them in host order (DESIGN.md §13).
   std::vector<Request*> finished;
   bool due = false;
 
@@ -139,7 +140,22 @@ struct TenantRuntime {
   explicit TenantRuntime(sim::Rng rng) : arrivals(rng) {}
 };
 
-constexpr int kProjectionEvent = 1;  ///< Lane-event kind: completion alarm.
+/// What a sim::EventEngine event means to the runtime; `id`/`gen` in
+/// brackets.
+enum EventKind : std::uint8_t {
+  kAlarmEvent,      ///< Host completion alarm [host, projection].
+  kArrivalEvent,    ///< Next Poisson arrival [tenant].
+  kEpochEvent,      ///< Batched-admission epoch drain.
+  kDeadlineEvent,   ///< Deadline guard [request].
+  kTimeoutEvent,    ///< Attempt timeout [request, generation].
+  kRetryEvent,      ///< Backoff elapsed [request, generation].
+  kWakeupEvent,     ///< Breaker cooldown over; retry dispatch.
+  kFaultStepEvent,  ///< Next fault-plan transition.
+};
+/// Alarms run in phase 0 and everything else in phase 1, so all alarms
+/// due at an instant pop before the instant's other events.
+constexpr std::uint8_t kAlarmPhase = 0;
+constexpr std::uint8_t kControlPhase = 1;
 
 class FleetRuntime {
  public:
@@ -149,18 +165,12 @@ class FleetRuntime {
       : config_(config),
         specs_(tenants),
         obs_(obs),
-        engine_(config.num_hosts),
         queue_(config.queue_depth),
         placer_(config.num_hosts,
                 PlacerConfig{/*rel_gap=*/0.08, config.summary_refresh}),
         backoff_rng_(sim::Rng(config.seed).fork(0x666c656574u, 1)),
         workload_rng_(sim::Rng(config.seed).fork(0x666c656574u, 2)) {
     build_hosts();
-    engine_.set_lane_handler(
-        [this](int lane, const sim::EventEngine::LaneEvent& ev) {
-          on_lane_event(lane, ev);
-        });
-    engine_.set_merge_hook([this](sim::Ns at) { on_merge(at); });
     quotas_.reserve(specs_.size());
     retry_budgets_.reserve(specs_.size());
     for (std::size_t t = 0; t < specs_.size(); ++t) {
@@ -396,9 +406,9 @@ class FleetRuntime {
   }
 
   /// Schedules the host's next flow completion (earliest projected finish
-  /// under the current rates and capacity factor) as a lane event on the
-  /// host's lane. With completion_grid > 0 the alarm rounds up to the
-  /// next grid instant so completions across hosts share instants.
+  /// under the current rates and capacity factor) as an alarm event. With
+  /// completion_grid > 0 the alarm rounds up to the next grid instant so
+  /// completions across hosts share instants.
   void reproject(int h, sim::Ns now) {
     HostState& hs = hosts_[static_cast<std::size_t>(h)];
     const std::uint64_t generation = ++hs.projection;
@@ -429,27 +439,27 @@ class FleetRuntime {
       at = std::ceil(at / config_.completion_grid) * config_.completion_grid;
       at = std::max(at, now);
     }
-    engine_.schedule_lane(h, at, kProjectionEvent, 0, 0, generation);
+    engine_.schedule(at, kAlarmPhase, kAlarmEvent, h, generation);
   }
 
-  /// Lane side of a completion alarm. Touches only this host's state —
+  /// First half of a completion alarm. Touches only this host's state —
   /// integrate progress, park finished requests — and leaves all
-  /// publication (traces, metrics, breaker, re-dispatch) to on_merge.
-  void on_lane_event(int h, const sim::EventEngine::LaneEvent& ev) {
-    if (ev.kind != kProjectionEvent) return;
+  /// publication (traces, metrics, breaker, re-dispatch) to
+  /// commit_completions.
+  void on_alarm(int h, std::uint64_t gen, sim::Ns now) {
     HostState& hs = hosts_[static_cast<std::size_t>(h)];
-    if (hs.projection != ev.gen) return;  // superseded alarm
-    advance_host(h, ev.at);
+    if (hs.projection != gen) return;  // superseded alarm
+    advance_host(h, now);
     hs.due = true;
     for (Request* req : hs.inflight) {
       if (req->remaining <= kDoneBytes) hs.finished.push_back(req);
     }
   }
 
-  /// Merge hook after each lane drain: commits every due host's finished
-  /// requests in host order, reprojects the survivors, then re-dispatches
-  /// freed capacity once.
-  void on_merge(sim::Ns now) {
+  /// Runs after the last alarm due at an instant: commits every due
+  /// host's finished requests in host order, reprojects the survivors,
+  /// then re-dispatches freed capacity once.
+  void commit_completions(sim::Ns now) {
     bool any = false;
     for (int h = 0; h < config_.num_hosts; ++h) {
       HostState& hs = hosts_[static_cast<std::size_t>(h)];
@@ -529,18 +539,12 @@ class FleetRuntime {
         config_.retry.timeout > 0.0
             ? std::min(now + config_.retry.timeout, req.deadline_at)
             : req.deadline_at;
-    const int generation = req.generation;
-    const int id = req.id;
-    engine_.schedule_at(timeout_at, [this, id, generation] {
-      Request& r = requests_[static_cast<std::size_t>(id)];
-      if (r.done || !r.inflight || r.generation != generation) return;
-      on_attempt_timeout(r);
-    });
+    engine_.schedule(timeout_at, kControlPhase, kTimeoutEvent, req.id,
+                     req.generation);
     reproject(h, now);
   }
 
-  void on_attempt_timeout(Request& req) {
-    const sim::Ns now = engine_.now();
+  void on_attempt_timeout(Request& req, sim::Ns now) {
     const int h = req.host;
     advance_host(h, now);
     detach_attempt(req);
@@ -584,14 +588,8 @@ class FleetRuntime {
       return;
     }
     emit("fleet.retry", req, "backoff", cause, now);
-    const int id = req.id;
-    const int generation = ++req.generation;
-    engine_.schedule_at(now + delay, [this, id, generation] {
-      Request& r = requests_[static_cast<std::size_t>(id)];
-      if (r.done || r.generation != generation) return;
-      enqueue(r, engine_.now());
-      try_dispatch(engine_.now());
-    });
+    engine_.schedule(now + delay, kControlPhase, kRetryEvent, req.id,
+                     ++req.generation);
   }
 
   void complete_request(Request& req, sim::Ns now) {
@@ -696,19 +694,19 @@ class FleetRuntime {
     req.deadline_at = req.submit + config_.deadline;
     req.admitted_at = now;
     if (!batched) emit("fleet.admit", req, "admitted", 0, now);
-    const int id = req.id;
-    engine_.schedule_at(req.deadline_at, [this, id] {
-      Request& r = requests_[static_cast<std::size_t>(id)];
-      // In-flight attempts carry their own deadline-clamped timeout.
-      if (r.done || r.inflight) return;
-      if (r.queued) {
-        queue_.remove(r.id);
-        r.queued = false;
-        note_queue_depth();
-      }
-      fail_request(r, engine_.now(), "deadline", 0);
-    });
+    engine_.schedule(req.deadline_at, kControlPhase, kDeadlineEvent, req.id);
     enqueue(req, now);
+  }
+
+  void on_deadline(Request& req, sim::Ns now) {
+    // In-flight attempts carry their own deadline-clamped timeout.
+    if (req.done || req.inflight) return;
+    if (req.queued) {
+      queue_.remove(req.id);
+      req.queued = false;
+      note_queue_depth();
+    }
+    fail_request(req, now, "deadline", 0);
   }
 
   /// Schedules the next epoch drain at the next multiple of the batch
@@ -719,7 +717,7 @@ class FleetRuntime {
     epoch_armed_ = true;
     const double w = config_.batch_window;
     const sim::Ns at = (std::floor(now / w) + 1.0) * w;
-    engine_.schedule_at(at, [this] { drain_epoch(engine_.now()); });
+    engine_.schedule(at, kControlPhase, kEpochEvent);
   }
 
   /// Drains one admission epoch: parked arrivals get their quota verdicts
@@ -776,7 +774,7 @@ class FleetRuntime {
         -std::log(1.0 - u) / spec.arrival_rate_per_s * 1e9;
     const sim::Ns at = now + gap;
     if (at >= config_.horizon) return;
-    engine_.schedule_at(at, [this, t] { on_arrival(t, engine_.now()); });
+    engine_.schedule(at, kControlPhase, kArrivalEvent, t);
   }
 
   // --- dispatch ----------------------------------------------------------
@@ -894,11 +892,13 @@ class FleetRuntime {
       return;  // an earlier-or-equal wakeup is already pending
     }
     dispatch_wakeup_at_ = earliest;
-    engine_.schedule_at(earliest, [this, earliest] {
-      if (dispatch_wakeup_at_ != earliest) return;
-      dispatch_wakeup_at_ = -1.0;
-      try_dispatch(engine_.now());
-    });
+    engine_.schedule(earliest, kControlPhase, kWakeupEvent);
+  }
+
+  void on_wakeup(sim::Ns now) {
+    if (dispatch_wakeup_at_ != now) return;  // superseded wakeup
+    dispatch_wakeup_at_ = -1.0;
+    try_dispatch(now);
   }
 
   // --- faults ------------------------------------------------------------
@@ -950,14 +950,60 @@ class FleetRuntime {
     if (injector_ == nullptr) return;
     const sim::Ns next = injector_->next_transition_after(after);
     if (!std::isfinite(next)) return;
-    engine_.schedule_at(next, [this, next] {
-      // Progress every host under pre-transition rates, then mutate.
-      for (int h = 0; h < config_.num_hosts; ++h) advance_host(h, next);
-      injector_->advance_to(next);
-      for (int h = 0; h < config_.num_hosts; ++h) reproject(h, next);
-      try_dispatch(next);
-      arm_fault_steps(next);
-    });
+    engine_.schedule(next, kControlPhase, kFaultStepEvent);
+  }
+
+  void on_fault_step(sim::Ns now) {
+    // Progress every host under pre-transition rates, then mutate.
+    for (int h = 0; h < config_.num_hosts; ++h) advance_host(h, now);
+    injector_->advance_to(now);
+    for (int h = 0; h < config_.num_hosts; ++h) reproject(h, now);
+    try_dispatch(now);
+    arm_fault_steps(now);
+  }
+
+  /// Pops and handles events until none is left; returns the time of the
+  /// last one. Generation checks drop superseded timeouts and retries.
+  sim::Ns run_events() {
+    while (const std::optional<sim::EventEngine::Event> ev = engine_.pop()) {
+      const sim::Ns now = ev->at;
+      switch (static_cast<EventKind>(ev->kind)) {
+        case kAlarmEvent:
+          ++alarms_popped_;
+          on_alarm(ev->id, ev->gen, now);
+          if (!engine_.next_is(now, kAlarmPhase)) commit_completions(now);
+          break;
+        case kArrivalEvent:
+          on_arrival(ev->id, now);
+          break;
+        case kEpochEvent:
+          drain_epoch(now);
+          break;
+        case kDeadlineEvent:
+          on_deadline(requests_[static_cast<std::size_t>(ev->id)], now);
+          break;
+        case kTimeoutEvent: {
+          Request& r = requests_[static_cast<std::size_t>(ev->id)];
+          if (r.done || !r.inflight || r.generation != ev->gen) break;
+          on_attempt_timeout(r, now);
+          break;
+        }
+        case kRetryEvent: {
+          Request& r = requests_[static_cast<std::size_t>(ev->id)];
+          if (r.done || r.generation != ev->gen) break;
+          enqueue(r, now);
+          try_dispatch(now);
+          break;
+        }
+        case kWakeupEvent:
+          on_wakeup(now);
+          break;
+        case kFaultStepEvent:
+          on_fault_step(now);
+          break;
+      }
+    }
+    return engine_.now();
   }
 
   // --- reporting ---------------------------------------------------------
@@ -1015,8 +1061,7 @@ class FleetRuntime {
           g_goodput_,
           horizon_s > 0.0 ? static_cast<double>(report.completed) / horizon_s
                           : 0.0);
-      obs_->metrics.add(m_lane_events_,
-                        static_cast<double>(engine_.lane_events_fired()));
+      obs_->metrics.add(m_lane_events_, static_cast<double>(alarms_popped_));
     }
     return report;
   }
@@ -1029,7 +1074,7 @@ class FleetRuntime {
   std::vector<TenantRuntime> tenants_;
   /// Request arena: deque for stable addresses with chunked allocation
   /// (a scale run creates millions; one heap node per request was
-  /// measurable). Event callbacks hold (id, generation) pairs.
+  /// measurable). Events carry (id, generation) pairs.
   std::deque<Request> requests_;
   BoundedQueue queue_;
   std::vector<TokenBucket> quotas_;  ///< Per-tenant quota buckets.
@@ -1052,6 +1097,7 @@ class FleetRuntime {
   obs::SpanId run_span_ = 0;
   sim::Ns dispatch_wakeup_at_ = -1.0;
   long long dispatches_ = 0;
+  long long alarms_popped_ = 0;  ///< Stale alarms included.
   sim::Ns last_dispatch_ = 0.0;  ///< When the final attempt started.
   long long retries_ = 0;
   long long replaced_ = 0;
@@ -1103,7 +1149,7 @@ FleetReport FleetRuntime::run() {
     schedule_arrival(t, 0.0);
   }
   arm_fault_steps(-1.0);
-  const sim::Ns makespan = engine_.run();
+  const sim::Ns makespan = run_events();
   if (injector_ != nullptr) injector_->restore();
   FleetReport report = build_report(makespan);
   if (trace() != nullptr) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 
 #include "io/nic.h"
@@ -64,30 +65,8 @@ struct StreamSetup {
   obs::SpanId span = 0;          ///< `fio.stream` trace span, 0 = untraced.
 };
 
-}  // namespace
-
-StreamShape shape_stream(fabric::Machine& machine, const StreamSpec& spec) {
-  assert(spec.device != nullptr);
-  if (spec.placements.empty()) {
-    return shape_stream(machine, *spec.device, spec.engine, spec.cpu_node,
-                        spec.mem_node, spec.options);
-  }
-  return shape_stream(
-      machine, *spec.device, spec.engine, spec.cpu_node,
-      std::span<const std::pair<NodeId, sim::Bytes>>(spec.placements),
-      spec.options);
-}
-
-StreamShape shape_stream(fabric::Machine& machine, const PcieDevice& device,
-                         const std::string& engine, NodeId cpu_node,
-                         NodeId mem_node, const StreamOptions& options) {
-  const std::pair<NodeId, sim::Bytes> whole{mem_node, 1};
-  return shape_stream(machine, device, engine, cpu_node,
-                      std::span<const std::pair<NodeId, sim::Bytes>>(&whole, 1),
-                      options);
-}
-
-StreamShape shape_stream(
+/// Shapes one stream whose buffer spans `placements` (StreamSpec docs).
+StreamShape shape_placed(
     fabric::Machine& machine, const PcieDevice& device,
     const std::string& engine, NodeId cpu_node,
     std::span<const std::pair<NodeId, sim::Bytes>> placements,
@@ -147,6 +126,19 @@ StreamShape shape_stream(
         {machine.cpu(device.irq_node()), spec.cpu_irq_per_gbps});
   }
   return shape;
+}
+
+}  // namespace
+
+StreamShape shape_stream(fabric::Machine& machine, const StreamSpec& spec) {
+  assert(spec.device != nullptr);
+  using Share = std::pair<NodeId, sim::Bytes>;
+  const Share whole{spec.mem_node, 1};
+  const std::span<const Share> placements =
+      spec.placements.empty() ? std::span<const Share>(&whole, 1)
+                              : std::span<const Share>(spec.placements);
+  return shape_placed(machine, *spec.device, spec.engine, spec.cpu_node,
+                      placements, spec.options);
 }
 
 sim::Gbps combined_aggregate(const std::vector<FioResult>& results) {
@@ -282,7 +274,7 @@ std::vector<FioResult> FioRunner::run_timed(
       }
 
       setup.shape =
-          shape_stream(machine, *setup.device, job.engine, job.cpu_node,
+          shape_placed(machine, *setup.device, job.engine, job.cpu_node,
                        setup.buffer.placement, options);
       if (has_peer_res) setup.shape.usages.push_back({peer_res, 1.0});
       setup.backoff_rng =
@@ -572,7 +564,7 @@ std::vector<FioRunner::ResourceLoad> FioRunner::diagnose(const FioJob& job) {
     StreamOptions options;
     options.iodepth = job.iodepth;
     const StreamShape shape =
-        shape_stream(machine, *device, job.engine, job.cpu_node,
+        shape_placed(machine, *device, job.engine, job.cpu_node,
                      buffers.back().placement, options);
     flows.push_back(solver.add_flow(shape.usages, shape.rate_cap));
     usages.push_back(shape.usages);

@@ -27,7 +27,9 @@
 #include "obs/stream.h"
 
 // Simulation core: units, RNG, statistics, retry policy, status codes,
-// and the solver execution engine (SolveOptions).
+// the discrete-event engine, and the solver execution engine
+// (SolveOptions).
+#include "simcore/event_engine.h"
 #include "simcore/fluid_sim.h"
 #include "simcore/retry.h"
 #include "simcore/rng.h"

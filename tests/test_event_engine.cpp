@@ -1,221 +1,306 @@
-// EventEngine tests (DESIGN.md §13): control-queue ordering and clock
-// semantics, lanes-drain-before-control at shared instants, the merge
-// hook, and lane-local rescheduling.
+// EventEngine tests (DESIGN.md §13): (at, phase, seq) ordering, clock
+// semantics, the plain-data payload, and the fleet-style commit loop that
+// publishes all completion alarms of an instant at once.
 #include "simcore/event_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "simcore/rng.h"
 
 namespace numaio::sim {
 namespace {
 
-TEST(EventEngine, StartsAtZero) {
+constexpr std::uint8_t kAlarm = 0;    // phase of completion alarms
+constexpr std::uint8_t kControl = 1;  // phase of every other event
+
+/// Drains `eng` the way the fleet runtime does: phase-0 events go to
+/// `on_alarm`, the last phase-0 event due at an instant is followed by
+/// `commit(at)`, and phase-1 events go to `on_control`.
+template <typename OnAlarm, typename Commit, typename OnControl>
+Ns drain(EventEngine& eng, OnAlarm on_alarm, Commit commit,
+         OnControl on_control) {
+  while (const auto ev = eng.pop()) {
+    if (ev->phase == kAlarm) {
+      on_alarm(*ev);
+      if (!eng.next_is(ev->at, kAlarm)) commit(ev->at);
+    } else {
+      on_control(*ev);
+    }
+  }
+  return eng.now();
+}
+
+/// Pops everything, returning the ids in pop order.
+std::vector<int> pop_ids(EventEngine& eng) {
+  std::vector<int> ids;
+  while (const auto ev = eng.pop()) ids.push_back(ev->id);
+  return ids;
+}
+
+TEST(EventEngine, StartsAtZeroAndEmpty) {
   EventEngine e;
   EXPECT_DOUBLE_EQ(e.now(), 0.0);
-  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_FALSE(e.next_is(0.0, kAlarm));
+  EXPECT_FALSE(e.next_is(0.0, kControl));
+  EXPECT_FALSE(e.pop().has_value());
+}
+
+TEST(EventEngine, PopOnEmptyLeavesTheClockAlone) {
+  EventEngine e;
+  e.schedule(42.0, kControl, 0);
+  ASSERT_TRUE(e.pop().has_value());
+  EXPECT_DOUBLE_EQ(e.now(), 42.0);
+  EXPECT_FALSE(e.pop().has_value());
+  EXPECT_FALSE(e.pop().has_value());
+  EXPECT_DOUBLE_EQ(e.now(), 42.0);
 }
 
 TEST(EventEngine, RunsEventsInTimeOrder) {
   EventEngine e;
-  std::vector<int> order;
-  e.schedule_at(30.0, [&] { order.push_back(3); });
-  e.schedule_at(10.0, [&] { order.push_back(1); });
-  e.schedule_at(20.0, [&] { order.push_back(2); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  e.schedule(30.0, kControl, 0, 3);
+  e.schedule(10.0, kControl, 0, 1);
+  e.schedule(20.0, kControl, 0, 2);
+  EXPECT_EQ(pop_ids(e), (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(e.now(), 30.0);
 }
 
 TEST(EventEngine, SameTimestampFifo) {
   EventEngine e;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    e.schedule_at(5.0, [&order, i] { order.push_back(i); });
+  for (int i = 0; i < 5; ++i) e.schedule(5.0, kControl, 0, i);
+  for (int i = 5; i < 10; ++i) e.schedule(5.0, kAlarm, 0, i);
+  // Each phase pops in scheduling order; the alarms come first.
+  EXPECT_EQ(pop_ids(e), (std::vector<int>{5, 6, 7, 8, 9, 0, 1, 2, 3, 4}));
+}
+
+TEST(EventEngine, PayloadRoundTrips) {
+  EventEngine e;
+  const std::uint64_t big = std::numeric_limits<std::uint64_t>::max();
+  e.schedule(7.5, kControl, 255, -3, big);
+  e.schedule(7.5, kAlarm, 4, std::numeric_limits<int>::max(), 0);
+  const auto first = e.pop();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_DOUBLE_EQ(first->at, 7.5);
+  EXPECT_EQ(first->phase, kAlarm);
+  EXPECT_EQ(first->kind, 4);
+  EXPECT_EQ(first->id, std::numeric_limits<int>::max());
+  EXPECT_EQ(first->gen, 0u);
+  EXPECT_EQ(first->seq, 1u);
+  const auto second = e.pop();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_DOUBLE_EQ(second->at, 7.5);
+  EXPECT_EQ(second->phase, kControl);
+  EXPECT_EQ(second->kind, 255);
+  EXPECT_EQ(second->id, -3);
+  EXPECT_EQ(second->gen, big);
+  EXPECT_EQ(second->seq, 0u);
+}
+
+TEST(EventEngine, ScheduleRelativeToNowInsideAHandler) {
+  EventEngine e;
+  e.schedule(100.0, kControl, 0, 1);
+  std::vector<Ns> fired;
+  while (const auto ev = e.pop()) {
+    fired.push_back(e.now());
+    if (ev->id == 1) e.schedule(e.now() + 50.0, kControl, 0, 2);
   }
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(fired, (std::vector<Ns>{100.0, 150.0}));
 }
 
-TEST(EventEngine, ScheduleInIsRelative) {
+TEST(EventEngine, ClockNeverRewinds) {
+  // A random cascade: every handled event schedules 0-2 follow-ups at or
+  // after now(), half of them at now() itself, in either phase. The clock
+  // must equal each popped event's time and never move backwards.
   EventEngine e;
-  double fired_at = -1.0;
-  e.schedule_at(100.0, [&] {
-    e.schedule_in(50.0, [&] { fired_at = e.now(); });
-  });
-  e.run();
-  EXPECT_DOUBLE_EQ(fired_at, 150.0);
-}
-
-TEST(EventEngine, RunUntilStopsAtBoundary) {
-  EventEngine e;
-  int fired = 0;
-  e.schedule_at(10.0, [&] { ++fired; });
-  e.schedule_at(20.0, [&] { ++fired; });
-  e.schedule_at(30.0, [&] { ++fired; });
-  e.run_until(20.0);
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(e.now(), 20.0);
-  EXPECT_EQ(e.pending(), 1u);
-  e.run();
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(EventEngine, RunUntilAdvancesClockWithoutEvents) {
-  EventEngine e;
-  e.run_until(500.0);
-  EXPECT_DOUBLE_EQ(e.now(), 500.0);
+  Rng rng(2013);
+  for (int i = 0; i < 20; ++i) {
+    e.schedule(rng.uniform(0.0, 100.0),
+               static_cast<std::uint8_t>(rng.below(2)), 0);
+  }
+  int popped = 0;
+  Ns last = 0.0;
+  while (const auto ev = e.pop()) {
+    ++popped;
+    EXPECT_GE(e.now(), last);
+    EXPECT_EQ(e.now(), ev->at);
+    last = e.now();
+    if (popped > 2000) continue;
+    const std::uint64_t children = rng.below(3);
+    for (std::uint64_t c = 0; c < children; ++c) {
+      const Ns delay = rng.below(2) == 0 ? 0.0 : rng.uniform(0.0, 10.0);
+      e.schedule(e.now() + delay, static_cast<std::uint8_t>(rng.below(2)),
+                 0);
+    }
+  }
+  EXPECT_GT(popped, 20);
 }
 
 TEST(EventEngine, EventsCanCascade) {
   EventEngine e;
+  e.schedule(0.0, kControl, 0, 0);
   int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 10) e.schedule_in(1.0, chain);
-  };
-  e.schedule_at(0.0, chain);
-  e.run();
+  while (const auto ev = e.pop()) {
+    if (++depth < 10) e.schedule(e.now() + 1.0, kControl, 0, ev->id + 1);
+  }
   EXPECT_EQ(depth, 10);
   EXPECT_DOUBLE_EQ(e.now(), 9.0);
 }
 
-TEST(EventEngine, NextEventTime) {
+TEST(EventEngine, PhaseZeroBeforePhaseOneAtTheSameInstant) {
   EventEngine e;
-  EXPECT_EQ(e.next_event_time(), kUnlimited);
-  e.schedule_at(42.0, [] {});
-  EXPECT_DOUBLE_EQ(e.next_event_time(), 42.0);
+  e.schedule(10.0, kControl, 0, 1);
+  e.schedule(10.0, kAlarm, 0, 2);
+  e.schedule(10.0, kAlarm, 0, 3);
+  EXPECT_EQ(pop_ids(e), (std::vector<int>{2, 3, 1}));
 }
 
-TEST(EventEngine, LanesDrainBeforeControlAtTheSameInstant) {
-  EventEngine eng(/*num_lanes=*/2);
+TEST(EventEngine, PhaseOnlyBreaksTiesAtTheSameInstant) {
+  EventEngine e;
+  e.schedule(20.0, kAlarm, 0, 2);
+  e.schedule(10.0, kControl, 0, 1);
+  e.schedule(20.0, kControl, 0, 3);
+  EXPECT_EQ(pop_ids(e), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventEngine, AlarmScheduledDuringControlFiresBeforeTheRest) {
+  // The fleet's commit depends on this: a control event at t that
+  // reprojects a host may schedule its alarm at t itself, and that alarm
+  // (plus its commit) must run before the remaining control events at t.
+  EventEngine e;
+  for (int i = 1; i <= 3; ++i) e.schedule(10.0, kControl, 0, i);
   std::vector<std::string> order;
-  eng.set_lane_handler([&](int lane, const EventEngine::LaneEvent&) {
-    order.push_back("lane" + std::to_string(lane));
-  });
-  eng.set_merge_hook([&](Ns at) {
-    order.push_back("merge@" + std::to_string(static_cast<int>(at)));
-  });
-  eng.schedule_at(10.0, [&] { order.push_back("control"); });
-  eng.schedule_lane(1, 10.0, /*kind=*/1, 0, 0, /*gen=*/0);
-  eng.schedule_lane(0, 10.0, /*kind=*/1, 0, 0, /*gen=*/0);
-  eng.run();
-  // Both lanes drain in ascending lane order, then the merge hook, then
-  // the control closure — all at t = 10.
-  EXPECT_EQ(order, (std::vector<std::string>{"lane0", "lane1", "merge@10",
-                                             "control"}));
-  EXPECT_EQ(eng.lane_events_fired(), 2);
+  drain(
+      e, [&](const EventEngine::Event& ev) {
+        order.push_back("alarm" + std::to_string(ev.id));
+      },
+      [&](Ns) { order.push_back("commit"); },
+      [&](const EventEngine::Event& ev) {
+        order.push_back("control" + std::to_string(ev.id));
+        if (ev.id == 1) {
+          e.schedule(10.0, kAlarm, 0, 7);
+          e.schedule(10.0, kAlarm, 0, 8);
+        }
+      });
+  EXPECT_EQ(order, (std::vector<std::string>{"control1", "alarm7", "alarm8",
+                                             "commit", "control2",
+                                             "control3"}));
 }
 
-TEST(EventEngine, LaneHandlerMayRescheduleItsOwnLane) {
-  EventEngine eng(/*num_lanes=*/3);
+TEST(EventEngine, NextIsSeesOnlyTheHead) {
+  EventEngine e;
+  e.schedule(5.0, kAlarm, 0);
+  e.schedule(5.0, kControl, 0);
+  e.schedule(9.0, kAlarm, 0);
+  EXPECT_TRUE(e.next_is(5.0, kAlarm));
+  EXPECT_FALSE(e.next_is(5.0, kControl));
+  EXPECT_FALSE(e.next_is(9.0, kAlarm));
+  ASSERT_TRUE(e.pop().has_value());
+  EXPECT_TRUE(e.next_is(5.0, kControl));
+  EXPECT_FALSE(e.next_is(5.0, kAlarm));
+  ASSERT_TRUE(e.pop().has_value());
+  EXPECT_TRUE(e.next_is(9.0, kAlarm));
+}
+
+TEST(EventEngine, RescheduledAlarmsCommitOncePerInstant) {
+  // Three hosts each chain an alarm at 10, 15, 20, 25.
+  EventEngine e;
   std::vector<long long> fired(3, 0);
-  int merges = 0;
-  eng.set_lane_handler([&](int lane, const EventEngine::LaneEvent& ev) {
-    ++fired[static_cast<std::size_t>(lane)];
-    if (ev.gen > 0) {
-      eng.schedule_lane(lane, ev.at + 5.0, ev.kind, ev.a, ev.b, ev.gen - 1);
-    }
-  });
-  eng.set_merge_hook([&](Ns) { ++merges; });
-  for (int lane = 0; lane < 3; ++lane) {
-    eng.schedule_lane(lane, 10.0, 1, 0, 0, /*gen=*/3);
-  }
-  const Ns end = eng.run();
-  // Each lane fires at 10, 15, 20, 25.
+  std::vector<Ns> commits;
+  for (int host = 0; host < 3; ++host) e.schedule(10.0, kAlarm, 1, host, 3);
+  const Ns end = drain(
+      e, [&](const EventEngine::Event& ev) {
+        ++fired[static_cast<std::size_t>(ev.id)];
+        if (ev.gen > 0) e.schedule(ev.at + 5.0, kAlarm, 1, ev.id, ev.gen - 1);
+      },
+      [&](Ns at) { commits.push_back(at); },
+      [](const EventEngine::Event&) {});
   EXPECT_EQ(fired, (std::vector<long long>{4, 4, 4}));
   EXPECT_DOUBLE_EQ(end, 25.0);
-  EXPECT_EQ(merges, 4);  // one merge per shared instant
-  EXPECT_EQ(eng.lane_events_fired(), 12);
+  EXPECT_EQ(commits, (std::vector<Ns>{10.0, 15.0, 20.0, 25.0}));
 }
 
-TEST(EventEngine, RunUntilCoversLaneEvents) {
-  EventEngine eng(/*num_lanes=*/1);
-  std::vector<Ns> fired;
-  eng.schedule_at(10.0, [&] { fired.push_back(10.0); });
-  eng.schedule_at(30.0, [&] { fired.push_back(30.0); });
-  eng.schedule_lane(0, 25.0, 1, 0, 0, 0);
-  eng.set_lane_handler(
-      [&](int, const EventEngine::LaneEvent& ev) { fired.push_back(ev.at); });
-
-  EXPECT_DOUBLE_EQ(eng.run_until(20.0), 20.0);
-  EXPECT_EQ(fired, (std::vector<Ns>{10.0}));
-  EXPECT_EQ(eng.pending(), 2u);
-  EXPECT_DOUBLE_EQ(eng.next_event_time(), 25.0);
-
-  // An empty stretch still advances the clock to `until`.
-  EXPECT_DOUBLE_EQ(eng.run_until(22.0), 22.0);
-
-  EXPECT_DOUBLE_EQ(eng.run(), 30.0);
-  EXPECT_EQ(fired, (std::vector<Ns>{10.0, 25.0, 30.0}));
-  EXPECT_EQ(eng.pending(), 0u);
-}
-
-TEST(EventEngine, ControlMayScheduleLaneEventsAndViceVersa) {
-  // The merge hook may schedule new lane or control work; it must land
-  // at later instants, never be lost.
-  EventEngine eng(/*num_lanes=*/2);
+TEST(EventEngine, CommitMaySchedulePhaseZeroAndControlWork) {
+  // The commit at 10 schedules an alarm at 20, a control event at 15 and
+  // an alarm at 10 itself; none is lost, and the same-instant alarm gets
+  // its own commit before time moves on.
+  EventEngine e;
   std::vector<std::string> order;
-  eng.set_lane_handler([&](int lane, const EventEngine::LaneEvent&) {
-    order.push_back("lane" + std::to_string(lane));
-  });
-  eng.set_merge_hook([&](Ns at) {
-    if (at == 10.0) {
-      eng.schedule_lane(1, 20.0, 1, 0, 0, 0);
-      eng.schedule_at(15.0, [&] { order.push_back("control"); });
-    }
-  });
-  eng.schedule_lane(0, 10.0, 1, 0, 0, 0);
-  const Ns end = eng.run();
-  EXPECT_EQ(order, (std::vector<std::string>{"lane0", "control", "lane1"}));
+  e.schedule(10.0, kControl, 0, 1);
+  e.schedule(10.0, kAlarm, 0, 0);
+  const Ns end = drain(
+      e, [&](const EventEngine::Event& ev) {
+        order.push_back("alarm" + std::to_string(ev.id));
+      },
+      [&](Ns at) {
+        order.push_back("commit@" + std::to_string(static_cast<int>(at)));
+        if (at == 10.0 && order.size() == 2) {
+          e.schedule(20.0, kAlarm, 0, 2);
+          e.schedule(15.0, kControl, 0, 3);
+          e.schedule(10.0, kAlarm, 0, 4);
+        }
+      },
+      [&](const EventEngine::Event& ev) {
+        order.push_back("control" + std::to_string(ev.id));
+      });
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "alarm0", "commit@10", "alarm4", "commit@10",
+                       "control1", "control3", "alarm2", "commit@20"}));
   EXPECT_DOUBLE_EQ(end, 20.0);
 }
 
-TEST(EventEngine, MergeLogFollowsLaneOrderAcrossInstants) {
-  // Eight lanes each run a five-step chain (t = 10, 13, ..., 22); a
-  // control event at 16 adds one more lane-3 event at 19. Each handler
-  // folds its event into its own lane's accumulator and the merge hook
-  // publishes all accumulators, so the log pins down the per-instant
-  // order: lanes in ascending order, each lane's events in (at, seq)
-  // order, then one merge.
-  constexpr int kLanes = 8;
-  EventEngine eng(kLanes);
-  std::vector<long long> acc(kLanes, 0);
+TEST(EventEngine, CommitLogFollowsHostOrderAcrossInstants) {
+  // Eight hosts each run a five-step alarm chain (t = 10, 13, ..., 22); a
+  // control event at 16 adds one more host-3 alarm at 19. Each alarm
+  // folds into its own host's accumulator and the commit publishes all
+  // accumulators in host order, so the log pins down the per-instant
+  // order: each host's alarms in (at, seq) order, then one commit.
+  constexpr int kHosts = 8;
+  EventEngine e;
+  std::vector<long long> acc(kHosts, 0);
   std::vector<long long> log;
-  eng.set_lane_handler([&](int lane, const EventEngine::LaneEvent& ev) {
-    auto& a = acc[static_cast<std::size_t>(lane)];
-    a = a * 31 + ev.kind * 7 + ev.a;
-    if (ev.gen > 0) {
-      eng.schedule_lane(lane, ev.at + 3.0, ev.kind, ev.a + 1, 0, ev.gen - 1);
-    }
-  });
-  eng.set_merge_hook([&](Ns at) {
-    log.push_back(static_cast<long long>(at));
-    for (const long long a : acc) log.push_back(a);
-  });
-  for (int lane = 0; lane < kLanes; ++lane) {
-    eng.schedule_lane(lane, 10.0, /*kind=*/1 + lane % 2, lane, 0, /*gen=*/4);
+  long long alarms = 0;
+  for (int host = 0; host < kHosts; ++host) {
+    e.schedule(10.0, kAlarm, static_cast<std::uint8_t>(1 + host % 2), host,
+               /*gen=*/4);
   }
-  eng.schedule_at(16.0, [&] { eng.schedule_lane(3, 19.0, 5, 100, 0, 0); });
-  EXPECT_DOUBLE_EQ(eng.run(), 22.0);
+  e.schedule(16.0, kControl, 0);
+  const Ns end = drain(
+      e, [&](const EventEngine::Event& ev) {
+        ++alarms;
+        auto& a = acc[static_cast<std::size_t>(ev.id)];
+        a = a * 31 + ev.kind * 7 + static_cast<long long>(ev.gen);
+        if (ev.gen > 0) {
+          e.schedule(ev.at + 3.0, kAlarm, ev.kind, ev.id, ev.gen - 1);
+        }
+      },
+      [&](Ns at) {
+        log.push_back(static_cast<long long>(at));
+        for (const long long a : acc) log.push_back(a);
+      },
+      [&](const EventEngine::Event&) { e.schedule(19.0, kAlarm, 5, 3, 0); });
+  EXPECT_DOUBLE_EQ(end, 22.0);
 
   // The same history folded by hand.
-  std::vector<long long> want_acc(kLanes, 0);
+  std::vector<long long> want_acc(kHosts, 0);
   std::vector<long long> want;
   for (int step = 0; step < 5; ++step) {
-    for (int lane = 0; lane < kLanes; ++lane) {
-      auto& a = want_acc[static_cast<std::size_t>(lane)];
-      a = a * 31 + (1 + lane % 2) * 7 + lane + step;
-      // The chain's follow-up was scheduled at 16 during the lane drain,
-      // before the control event, so it fires first at 19.
-      if (lane == 3 && step == 3) a = a * 31 + 5 * 7 + 100;
+    for (int host = 0; host < kHosts; ++host) {
+      auto& a = want_acc[static_cast<std::size_t>(host)];
+      a = a * 31 + (1 + host % 2) * 7 + (4 - step);
+      // The chain's follow-up was scheduled at 16 by the alarm, before
+      // the control event ran, so it fires first at 19.
+      if (host == 3 && step == 3) a = a * 31 + 5 * 7 + 0;
     }
     want.push_back(10 + 3 * step);
     want.insert(want.end(), want_acc.begin(), want_acc.end());
   }
   EXPECT_EQ(log, want);
-  EXPECT_EQ(eng.lane_events_fired(), kLanes * 5 + 1);
-  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(alarms, kHosts * 5 + 1);
+  EXPECT_FALSE(e.pop().has_value());
 }
 
 }  // namespace
