@@ -34,12 +34,13 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 # pointer or double-detach would surface as a use-after-free. The scale
 # suites (FleetScale, FleetConservation) add the batched admission path
 # and 2,000-tenant storm runs; PriorityFifo/BoundedQueue churn the
-# map-of-deque queue with a 20,000-op shed property trace, and
-# EventEngine covers the typed event heap and its phase order.
+# map-of-deque queue with a 20,000-op shed property trace,
+# EventEngine covers the typed event heap, its delay lines and its phase
+# order, and Stats the sort-once percentile reads the fleet report uses.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='TokenBucket*:BoundedQueue*:PriorityFifo*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetConservation*:EventEngine*:FaultPlanFile*'
+  --gtest_filter='TokenBucket*:BoundedQueue*:PriorityFifo*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetConservation*:EventEngine*:Stats*:FaultPlanFile*'
 
 # halt_on_error: the first sanitizer report fails the test run instead of
 # scrolling past; detect_leaks exercises the Host/Buffer ownership paths.

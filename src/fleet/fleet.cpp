@@ -1014,8 +1014,9 @@ class FleetRuntime {
     for (TenantRuntime& tenant : tenants_) {
       TenantStats stats = tenant.stats;
       if (!tenant.latencies.empty()) {
-        stats.latency_p50 = sim::percentile(tenant.latencies, 0.5);
-        stats.latency_p99 = sim::percentile(tenant.latencies, 0.99);
+        std::sort(tenant.latencies.begin(), tenant.latencies.end());
+        stats.latency_p50 = sim::percentile_sorted(tenant.latencies, 0.5);
+        stats.latency_p99 = sim::percentile_sorted(tenant.latencies, 0.99);
       }
       if (horizon_s > 0.0) {
         stats.goodput_rps =
@@ -1048,13 +1049,15 @@ class FleetRuntime {
                              static_cast<double>(report.submitted);
     }
     if (!all_latencies_.empty()) {
-      report.accepted_p50 = sim::percentile(all_latencies_, 0.5);
-      report.accepted_p99 = sim::percentile(all_latencies_, 0.99);
-      report.accepted_p999 = sim::percentile(all_latencies_, 0.999);
+      std::sort(all_latencies_.begin(), all_latencies_.end());
+      report.accepted_p50 = sim::percentile_sorted(all_latencies_, 0.5);
+      report.accepted_p99 = sim::percentile_sorted(all_latencies_, 0.99);
+      report.accepted_p999 = sim::percentile_sorted(all_latencies_, 0.999);
     }
     if (!placement_lat_.empty()) {
-      report.placement_p50 = sim::percentile(placement_lat_, 0.5);
-      report.placement_p99 = sim::percentile(placement_lat_, 0.99);
+      std::sort(placement_lat_.begin(), placement_lat_.end());
+      report.placement_p50 = sim::percentile_sorted(placement_lat_, 0.5);
+      report.placement_p99 = sim::percentile_sorted(placement_lat_, 0.99);
     }
     if (obs_ != nullptr) {
       obs_->metrics.set(
@@ -1062,6 +1065,13 @@ class FleetRuntime {
           horizon_s > 0.0 ? static_cast<double>(report.completed) / horizon_s
                           : 0.0);
       obs_->metrics.add(m_lane_events_, static_cast<double>(alarms_popped_));
+      obs::MetricsRegistry& m = obs_->metrics;
+      m.set(m.gauge("engine.heap_peak"),
+            static_cast<double>(engine_.heap_peak()));
+      m.add(m.counter("engine.heap_pops"),
+            static_cast<double>(engine_.heap_pops()));
+      m.add(m.counter("engine.line_pops"),
+            static_cast<double>(engine_.line_pops()));
     }
     return report;
   }
@@ -1069,7 +1079,9 @@ class FleetRuntime {
   const FleetConfig& config_;
   const std::vector<TenantSpec>& specs_;
   obs::Context* obs_;
-  sim::EventEngine engine_;
+  /// Deadline guards and unclamped attempt timeouts are constant-interval
+  /// timers: their delay lines take them off the heap.
+  sim::EventEngine engine_{kDeadlineEvent, kTimeoutEvent};
   std::vector<HostState> hosts_;
   std::vector<TenantRuntime> tenants_;
   /// Request arena: deque for stable addresses with chunked allocation

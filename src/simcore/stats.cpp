@@ -31,6 +31,13 @@ double percentile(std::span<const double> values, double p) {
   assert(p >= 0.0 && p <= 1.0);
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  assert(!sorted.empty());
+  assert(p >= 0.0 && p <= 1.0);
+  assert(std::is_sorted(sorted.begin(), sorted.end()));
   const double idx = p * (static_cast<double>(sorted.size()) - 1);
   const std::size_t lo = static_cast<std::size_t>(idx);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);

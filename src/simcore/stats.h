@@ -25,6 +25,11 @@ Summary summarize(std::span<const double> values);
 /// the input need not be sorted.
 double percentile(std::span<const double> values, double p);
 
+/// percentile() of input already sorted ascending, without the copy and
+/// sort: sort once, then read every quantile a series needs. Bit-identical
+/// to percentile() of the same values.
+double percentile_sorted(std::span<const double> sorted, double p);
+
 /// Median of a series (0 for an empty span).
 double median(std::span<const double> values);
 

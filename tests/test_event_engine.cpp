@@ -1,12 +1,16 @@
 // EventEngine tests (DESIGN.md §13): (at, phase, seq) ordering, clock
-// semantics, the plain-data payload, and the fleet-style commit loop that
-// publishes all completion alarms of an instant at once.
+// semantics, the plain-data payload, the fleet-style commit loop that
+// publishes all completion alarms of an instant at once, and the delay
+// lines checked against a sorted-set reference.
 #include "simcore/event_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -301,6 +305,173 @@ TEST(EventEngine, CommitLogFollowsHostOrderAcrossInstants) {
   EXPECT_EQ(log, want);
   EXPECT_EQ(alarms, kHosts * 5 + 1);
   EXPECT_FALSE(e.pop().has_value());
+}
+
+// --- delay lines ---------------------------------------------------------
+
+TEST(EventEngine, LineTakesOnlyEventsThatKeepItSorted) {
+  // Kind 1 has a delay line. 10, 20, 20 keep it sorted; 15 would not and
+  // goes to the heap, and a phase-0 event at the tail's instant would
+  // order before the tail, so it goes to the heap too.
+  EventEngine e{1};
+  e.schedule(10.0, kControl, 1, 1);
+  e.schedule(20.0, kControl, 1, 2);
+  e.schedule(20.0, kControl, 1, 3);
+  e.schedule(15.0, kControl, 1, 4);
+  e.schedule(20.0, kAlarm, 1, 5);
+  e.schedule(12.0, kControl, 0, 6);
+  EXPECT_EQ(e.heap_peak(), 3u);
+  EXPECT_EQ(pop_ids(e), (std::vector<int>{1, 6, 4, 5, 2, 3}));
+  EXPECT_EQ(e.line_pops(), 3u);
+  EXPECT_EQ(e.heap_pops(), 3u);
+}
+
+TEST(EventEngine, TiesAcrossHeapAndLinesPopInSeqOrder) {
+  // Same instant, same phase: scheduling order decides, whichever of the
+  // heap and the two lines holds the event.
+  EventEngine e{1, 2};
+  for (int i = 0; i < 9; ++i) {
+    e.schedule(5.0, kControl, static_cast<std::uint8_t>(i % 3), i);
+  }
+  EXPECT_EQ(pop_ids(e), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(e.line_pops(), 6u);
+  EXPECT_EQ(e.heap_pops(), 3u);
+}
+
+/// The engine's contract as a sorted set: pop takes the least
+/// (at, phase, seq), whatever holds the event.
+struct ReferenceEngine {
+  struct Less {
+    bool operator()(const EventEngine::Event& a,
+                    const EventEngine::Event& b) const {
+      if (a.at != b.at) return a.at < b.at;
+      if (a.phase != b.phase) return a.phase < b.phase;
+      return a.seq < b.seq;
+    }
+  };
+  std::set<EventEngine::Event, Less> pending;
+  std::uint64_t next_seq = 0;
+  Ns now = 0.0;
+
+  void schedule(Ns at, std::uint8_t phase, std::uint8_t kind, int id,
+                std::uint64_t gen) {
+    pending.insert(EventEngine::Event{at, next_seq++, phase, kind, id, gen});
+  }
+  std::optional<EventEngine::Event> pop() {
+    if (pending.empty()) return std::nullopt;
+    const EventEngine::Event ev = *pending.begin();
+    pending.erase(pending.begin());
+    now = std::max(now, ev.at);
+    return ev;
+  }
+  bool next_is(Ns at, std::uint8_t phase) const {
+    return !pending.empty() && pending.begin()->at == at &&
+           pending.begin()->phase == phase;
+  }
+};
+
+TEST(EventEngine, DelayLinesPopInHeapOrder) {
+  // 100,000 random operations over five seeds. Kinds 1 and 2 have delay
+  // lines and are scheduled as constant-interval timers, mostly monotone
+  // (so they ride the lines) and sometimes earlier than the line's tail
+  // or in the other phase (so they fall back to the heap); kinds 0 and 3
+  // are heap-only. Times sit on a coarse grid so exact-time ties across
+  // the heap and the lines are common. Every pop is followed by 0-2
+  // schedules from "inside the handler", half of them at now() itself,
+  // until the final drain.
+  // At every step the engine must agree with the reference: the same
+  // popped event, the same now() and the same next_is answers.
+  constexpr int kOpsPerSeed = 20000;
+  constexpr Ns kInterval[4] = {0.0, 8.0, 3.0, 0.0};
+  for (const std::uint64_t seed : {1u, 2u, 3u, 2013u, 0xfeedu}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventEngine e{1, 2};
+    ReferenceEngine ref;
+    Ns tail[4] = {0.0, 0.0, 0.0, 0.0};  // Last time scheduled per kind.
+    long long pops = 0;
+
+    const auto schedule_one = [&] {
+      const auto kind = static_cast<std::uint8_t>(rng.below(4));
+      auto phase = static_cast<std::uint8_t>(kControl);
+      Ns at = 0.0;
+      if (kInterval[kind] > 0.0 && rng.below(8) != 0) {
+        // A timer: now + constant, never earlier than the last one.
+        at = std::max(ref.now + kInterval[kind], tail[kind]);
+        if (rng.below(10) == 0) phase = kAlarm;
+      } else {
+        // Anywhere from now() on: the line's tail may be later.
+        at = ref.now + static_cast<Ns>(rng.below(12));
+        phase = static_cast<std::uint8_t>(rng.below(2));
+      }
+      tail[kind] = std::max(tail[kind], at);
+      const int id = static_cast<int>(rng.below(1000));
+      const std::uint64_t gen = rng.next_u64();
+      e.schedule(at, phase, kind, id, gen);
+      ref.schedule(at, phase, kind, id, gen);
+    };
+    const auto agree = [&] {
+      ASSERT_EQ(e.now(), ref.now);
+      if (!ref.pending.empty()) {
+        const EventEngine::Event& head = *ref.pending.begin();
+        ASSERT_TRUE(e.next_is(head.at, head.phase));
+        ASSERT_FALSE(
+            e.next_is(head.at, static_cast<std::uint8_t>(1 - head.phase)));
+      }
+      const Ns probe_at = ref.now + static_cast<Ns>(rng.below(3));
+      const auto probe_phase = static_cast<std::uint8_t>(rng.below(2));
+      ASSERT_EQ(e.next_is(probe_at, probe_phase),
+                ref.next_is(probe_at, probe_phase));
+    };
+    bool handlers_schedule = true;
+    const auto pop_one = [&] {
+      const auto got = e.pop();
+      const auto want = ref.pop();
+      ASSERT_EQ(got.has_value(), want.has_value());
+      if (!want) return;
+      ++pops;
+      ASSERT_EQ(got->seq, want->seq) << "pop " << pops;
+      ASSERT_EQ(got->at, want->at);
+      ASSERT_EQ(got->phase, want->phase);
+      ASSERT_EQ(got->kind, want->kind);
+      ASSERT_EQ(got->id, want->id);
+      ASSERT_EQ(got->gen, want->gen);
+      const std::uint64_t children = handlers_schedule ? rng.below(3) : 0;
+      for (std::uint64_t c = 0; c < children; ++c) {
+        if (rng.below(2) == 0) {
+          const auto phase = static_cast<std::uint8_t>(rng.below(2));
+          const auto kind = static_cast<std::uint8_t>(rng.below(4));
+          tail[kind] = std::max(tail[kind], ref.now);
+          e.schedule(ref.now, phase, kind, -1, 0);
+          ref.schedule(ref.now, phase, kind, -1, 0);
+        } else {
+          schedule_one();
+        }
+      }
+    };
+
+    for (int op = 0; op < kOpsPerSeed; ++op) {
+      if (rng.below(2) == 0) {
+        schedule_one();
+      } else {
+        pop_one();
+      }
+      agree();
+      if (HasFatalFailure()) return;
+    }
+    handlers_schedule = false;
+    while (!ref.pending.empty()) {
+      pop_one();
+      agree();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_FALSE(e.pop().has_value());
+    EXPECT_EQ(e.heap_pops() + e.line_pops(),
+              static_cast<std::uint64_t>(pops));
+    // Both stores carried real traffic.
+    EXPECT_GT(e.line_pops(), static_cast<std::uint64_t>(pops) / 5);
+    EXPECT_GT(e.heap_pops(), static_cast<std::uint64_t>(pops) / 5);
+  }
 }
 
 }  // namespace

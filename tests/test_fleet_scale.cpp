@@ -2,9 +2,9 @@
 // of the scale scenario — batched quota verdicts identical to the
 // per-request path, batched epochs replacing per-request admit/reject
 // events, mixed-SKU class placement, shedding spread across the
-// lowest-priority tenants, retry budgets held per tenant, and request
-// conservation across scenarios and seeds. Every scale run here uses
-// >= 2,000 tenants.
+// lowest-priority tenants, retry budgets held per tenant, timers kept off
+// the event heap, and request conservation across scenarios and seeds.
+// Every scale run here uses >= 2,000 tenants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,6 +80,29 @@ TEST(FleetScaleTest, MixedSkuFleetSplitsIntoClassesAndSpreads) {
   EXPECT_GT(ctx.metrics.value("placement.class_spread"), 0.0);
   // Every completion goes through a popped alarm.
   EXPECT_GT(ctx.metrics.value("engine.lane_events"), 0.0);
+}
+
+TEST(FleetScaleTest, TimersStayOffTheHeap) {
+  // Deadline guards (one per admitted request) and attempt timeouts ride
+  // the engine's delay lines. The heap keeps one pending arrival per
+  // tenant plus, per host, its completion alarms — superseded ones stay
+  // until their time, about 12 per host here — and the odd epoch, retry
+  // or fault step. Were the guards on it, its peak would track the
+  // thousands of admitted requests waiting out their deadline.
+  StormScenario storm =
+      make_scale_storm(8, kTenants, 30000.0, /*seed=*/5, /*horizon=*/0.4e9);
+  obs::Context ctx;
+  FleetSim sim(storm.config, storm.tenants);
+  sim.set_fault_plan(storm.plan);
+  sim.set_observer(&ctx);
+  const FleetReport report = sim.run();
+
+  ASSERT_GT(report.admitted, 1000);
+  const int hosts = storm.config.num_hosts;
+  EXPECT_LE(ctx.metrics.value("engine.heap_peak"), kTenants + 16 * hosts);
+  EXPECT_GE(ctx.metrics.value("engine.line_pops"),
+            2.0 * static_cast<double>(report.admitted));
+  EXPECT_GT(ctx.metrics.value("engine.heap_pops"), 0.0);
 }
 
 TEST(FleetScaleTest, SheddingIsSpreadAcrossTenants) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
+
+#include "simcore/rng.h"
 
 namespace numaio::sim {
 namespace {
@@ -50,6 +56,43 @@ TEST(Stats, PercentileDoesNotMutateInput) {
   const std::vector<double> v{3.0, 1.0, 2.0};
   percentile(v, 0.5);
   EXPECT_EQ(v[0], 3.0);
+}
+
+TEST(Stats, PercentilesMatchSinglePercentileBitForBit) {
+  // Sort once, read many quantiles: percentile_sorted over one sorted
+  // copy must give the very bits percentile() gives on the unsorted
+  // input, and those of the copy-sort-interpolate rule written out here.
+  const auto reference = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    const double idx = p * (static_cast<double>(v.size()) - 1);
+    const auto lo = static_cast<std::size_t>(idx);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = idx - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  Rng rng(0x9e3779b97f4a7c15ULL);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng.below(2000);
+    // Every other trial draws from a few distinct values: long runs of
+    // duplicates, where lo and hi often land on equal neighbours.
+    const bool dups = trial % 2 == 1;
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = dups ? static_cast<double>(rng.below(7)) * 0.25
+               : rng.uniform(0.0, 5.0e6);
+    }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 0.5, 0.99, 0.999, 1.0}) {
+      const double one = percentile_sorted(sorted, p);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(one),
+                std::bit_cast<std::uint64_t>(percentile(values, p)))
+          << "n=" << n << " p=" << p;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(one),
+                std::bit_cast<std::uint64_t>(reference(values, p)))
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 }  // namespace
