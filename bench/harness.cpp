@@ -57,22 +57,21 @@ using BenchSet = std::map<std::string, BenchResult>;
 
 constexpr char kSchema[] = "numaio-bench v1";
 
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 void write_bench_json(const BenchSet& benches, std::ostream& out) {
   out << "{\n  \"schema\": \"" << kSchema << "\",\n  \"benches\": {";
   bool first_bench = true;
   for (const auto& [name, r] : benches) {
-    out << (first_bench ? "\n" : ",\n") << "    \"" << name
-        << "\": {\"wall_ms\": " << num(r.wall_ms) << ", \"metrics\": {";
+    out << (first_bench ? "\n    " : ",\n    ");
+    obs::json::write_string(out, name);
+    out << ": {\"wall_ms\": ";
+    obs::json::write_number(out, r.wall_ms);
+    out << ", \"metrics\": {";
     bool first_metric = true;
     for (const auto& [key, value] : r.metrics) {
-      out << (first_metric ? "" : ", ") << "\"" << key
-          << "\": " << num(value);
+      out << (first_metric ? "" : ", ");
+      obs::json::write_string(out, key);
+      out << ": ";
+      obs::json::write_number(out, value);
       first_metric = false;
     }
     out << "}}";
@@ -81,126 +80,35 @@ void write_bench_json(const BenchSet& benches, std::ostream& out) {
   out << "\n  }\n}\n";
 }
 
-// ---------------------------------------------------------------------
-// A minimal JSON reader for the schema above: objects, strings, numbers.
-
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-  bool accept(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') ++pos_;
-      if (pos_ < text_.size()) out += text_[pos_++];
-    }
-    expect('"');
-    return out;
-  }
-  double number() {
-    skip_ws();
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(text_.substr(pos_), &used);
-    } catch (const std::exception&) {
-      fail("expected a number");
-    }
-    pos_ += used;
-    return v;
-  }
-  void end() {
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::invalid_argument("bench json, offset " +
-                                std::to_string(pos_) + ": " + what);
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
 BenchSet parse_bench_json(const std::string& text) {
-  JsonCursor c(text);
+  obs::json::Cursor c(text, "bench json");
   BenchSet benches;
-  c.expect('{');
   bool saw_schema = false;
-  while (true) {
-    const std::string key = c.string();
-    c.expect(':');
+  c.object([&](std::string_view key) {
     if (key == "schema") {
-      if (c.string() != kSchema) {
-        throw std::invalid_argument("bench json: unsupported schema");
-      }
+      if (c.string() != kSchema) c.fail("unsupported schema");
       saw_schema = true;
     } else if (key == "benches") {
-      c.expect('{');
-      if (!c.accept('}')) {
-        do {
-          const std::string name = c.string();
-          c.expect(':');
-          c.expect('{');
-          BenchResult r;
-          do {
-            const std::string field = c.string();
-            c.expect(':');
-            if (field == "wall_ms") {
-              r.wall_ms = c.number();
-            } else if (field == "metrics") {
-              c.expect('{');
-              if (!c.accept('}')) {
-                do {
-                  const std::string metric = c.string();
-                  c.expect(':');
-                  r.metrics[metric] = c.number();
-                } while (c.accept(','));
-                c.expect('}');
-              }
-            } else {
-              throw std::invalid_argument("bench json: unknown field '" +
-                                          field + "'");
-            }
-          } while (c.accept(','));
-          c.expect('}');
-          benches[name] = r;
-        } while (c.accept(','));
-        c.expect('}');
-      }
+      c.object([&](std::string_view name) {
+        BenchResult& r = benches[std::string(name)];
+        c.object([&](std::string_view field) {
+          if (field == "wall_ms") {
+            r.wall_ms = c.number();
+          } else if (field == "metrics") {
+            c.object([&](std::string_view metric) {
+              r.metrics[std::string(metric)] = c.number();
+            });
+          } else {
+            c.fail("unknown field '" + std::string(field) + "'");
+          }
+        });
+      });
     } else {
-      throw std::invalid_argument("bench json: unknown key '" + key + "'");
+      c.fail("unknown key '" + std::string(key) + "'");
     }
-    if (!c.accept(',')) break;
-  }
-  c.expect('}');
+  });
   c.end();
-  if (!saw_schema) throw std::invalid_argument("bench json: no schema");
+  if (!saw_schema) c.fail("no schema");
   return benches;
 }
 

@@ -1,14 +1,14 @@
 #include "model/perf_report.h"
 
 #include <algorithm>
-#include <cctype>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <initializer_list>
 #include <sstream>
-#include <stdexcept>
 #include <string_view>
 #include <utility>
 
+#include "obs/json.h"
 #include "simcore/units.h"
 
 namespace numaio::model {
@@ -22,12 +22,6 @@ const char* dir_name(Direction dir) {
 std::string fixed(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
-}
-
-std::string g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
 
@@ -60,28 +54,6 @@ std::string class_avgs_text(const Classification& c) {
     out += fixed(c.class_avg[i], 1);
   }
   return out;
-}
-
-void json_string(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
 }
 
 }  // namespace
@@ -230,7 +202,9 @@ std::string render_markdown(const RunReport& report,
   if (!report.counters.empty()) {
     out << "\n## Counters\n\n| counter | value |\n|---|---|\n";
     for (const auto& c : report.counters) {
-      out << "| " << c.name << " | " << g17(c.value) << " |\n";
+      out << "| " << c.name << " | ";
+      obs::json::write_number(out, c.value);
+      out << " |\n";
     }
   }
   return out.str();
@@ -240,12 +214,20 @@ std::string render_json(const RunReport& report,
                         const RunReportOptions& options) {
   const obs::TraceAnalysis& a = report.analysis;
   std::ostringstream out;
-  out << "{\n  \"command\": ";
-  json_string(out, report.command);
+  // `prefix` then one value through the shared codec.
+  const auto num = [&out](const char* prefix, double v) {
+    out << prefix;
+    obs::json::write_number(out, v);
+  };
+  const auto str = [&out](const char* prefix, std::string_view text) {
+    out << prefix;
+    obs::json::write_string(out, text);
+  };
+  str("{\n  \"command\": ", report.command);
   out << ",\n  \"records\": " << a.num_records;
-  out << ",\n  \"sim_first_ns\": " << g17(a.first_ns);
-  out << ",\n  \"sim_last_ns\": " << g17(a.last_ns);
-  out << ",\n  \"critical_path_ns\": " << g17(a.critical_path_ns);
+  num(",\n  \"sim_first_ns\": ", a.first_ns);
+  num(",\n  \"sim_last_ns\": ", a.last_ns);
+  num(",\n  \"critical_path_ns\": ", a.critical_path_ns);
 
   out << ",\n  \"classes\": [";
   if (report.has_model) {
@@ -265,7 +247,7 @@ std::string render_json(const RunReport& report,
         }
         out << "], \"avg_gbps\": [";
         for (std::size_t i = 0; i < c.class_avg.size(); ++i) {
-          out << (i == 0 ? "" : ", ") << g17(c.class_avg[i]);
+          num(i == 0 ? "" : ", ", c.class_avg[i]);
         }
         out << "]}";
         first = false;
@@ -278,14 +260,13 @@ std::string render_json(const RunReport& report,
   out << ",\n  \"span_kinds\": [";
   for (std::size_t i = 0; i < a.span_kinds.size(); ++i) {
     const obs::SpanKindStats& k = a.span_kinds[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": ";
-    json_string(out, k.name);
-    out << ", \"count\": " << k.count << ", \"unclosed\": " << k.unclosed
-        << ", \"total_ns\": " << g17(k.total_ns) << ", \"max_ns\": "
-        << g17(k.max_ns) << ", \"bytes\": " << k.bytes << ", \"outcomes\": {";
+    str(i == 0 ? "\n    {\"name\": " : ",\n    {\"name\": ", k.name);
+    out << ", \"count\": " << k.count << ", \"unclosed\": " << k.unclosed;
+    num(", \"total_ns\": ", k.total_ns);
+    num(", \"max_ns\": ", k.max_ns);
+    out << ", \"bytes\": " << k.bytes << ", \"outcomes\": {";
     for (std::size_t j = 0; j < k.outcomes.size(); ++j) {
-      out << (j == 0 ? "" : ", ");
-      json_string(out, k.outcomes[j].first);
+      str(j == 0 ? "" : ", ", k.outcomes[j].first);
       out << ": " << k.outcomes[j].second;
     }
     out << "}}";
@@ -298,15 +279,13 @@ std::string render_json(const RunReport& report,
                static_cast<std::size_t>(options.max_path_steps));
   for (std::size_t i = 0; i < steps; ++i) {
     const obs::CriticalPathStep& s = a.critical_path[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"id\": " << s.id
-        << ", \"name\": ";
-    json_string(out, s.name);
-    out << ", \"self_ns\": " << g17(s.self_ns) << ", \"start_ns\": "
-        << g17(s.start_ns) << ", \"end_ns\": " << g17(s.end_ns)
-        << ", \"outcome\": ";
-    json_string(out, s.outcome);
-    out << ", \"detail\": ";
-    json_string(out, s.detail);
+    out << (i == 0 ? "\n" : ",\n") << "    {\"id\": " << s.id;
+    str(", \"name\": ", s.name);
+    num(", \"self_ns\": ", s.self_ns);
+    num(", \"start_ns\": ", s.start_ns);
+    num(", \"end_ns\": ", s.end_ns);
+    str(", \"outcome\": ", s.outcome);
+    str(", \"detail\": ", s.detail);
     out << "}";
   }
   out << (steps == 0 ? "]" : "\n  ]");
@@ -319,9 +298,11 @@ std::string render_json(const RunReport& report,
     const obs::ContentionCell& c = a.contention[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"node_a\": " << c.node_a
         << ", \"node_b\": " << c.node_b << ", \"spans\": " << c.spans
-        << ", \"bytes\": " << c.bytes << ", \"busy_ns\": " << g17(c.busy_ns)
-        << ", \"stall_ns\": " << g17(c.stall_ns) << ", \"stall_frac\": "
-        << g17(c.stall_frac()) << "}";
+        << ", \"bytes\": " << c.bytes;
+    num(", \"busy_ns\": ", c.busy_ns);
+    num(", \"stall_ns\": ", c.stall_ns);
+    num(", \"stall_frac\": ", c.stall_frac());
+    out << "}";
   }
   out << (cells == 0 ? "]" : "\n  ]");
 
@@ -330,8 +311,7 @@ std::string render_json(const RunReport& report,
       << a.faults.aborts << ", \"caused\": " << a.faults.caused
       << ", \"by_fault\": [";
   for (std::size_t i = 0; i < a.faults.by_fault.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "{\"fault\": ";
-    json_string(out, a.faults.by_fault[i].first);
+    str(i == 0 ? "{\"fault\": " : ", {\"fault\": ", a.faults.by_fault[i].first);
     out << ", \"caused\": " << a.faults.by_fault[i].second << "}";
   }
   out << "]}";
@@ -342,13 +322,13 @@ std::string render_json(const RunReport& report,
     for (const obs::MetricsRegistry::Histogram* h :
          {&report.sched.queue_wait, &report.sched.dispatch,
           &report.sched.migration}) {
-      out << (first ? "\n" : ",\n") << "    {\"name\": ";
-      json_string(out, h->name);
-      out << ", \"count\": " << h->count << ", \"p50_ms\": "
-          << g17(h->quantile(0.50)) << ", \"p95_ms\": "
-          << g17(h->quantile(0.95)) << ", \"p99_ms\": "
-          << g17(h->quantile(0.99)) << ", \"p999_ms\": "
-          << g17(h->quantile(0.999)) << "}";
+      str(first ? "\n    {\"name\": " : ",\n    {\"name\": ", h->name);
+      out << ", \"count\": " << h->count;
+      num(", \"p50_ms\": ", h->quantile(0.50));
+      num(", \"p95_ms\": ", h->quantile(0.95));
+      num(", \"p99_ms\": ", h->quantile(0.99));
+      num(", \"p999_ms\": ", h->quantile(0.999));
+      out << "}";
       first = false;
     }
     out << "\n  ]";
@@ -358,9 +338,8 @@ std::string render_json(const RunReport& report,
 
   out << ",\n  \"counters\": {";
   for (std::size_t i = 0; i < report.counters.size(); ++i) {
-    out << (i == 0 ? "" : ", ");
-    json_string(out, report.counters[i].name);
-    out << ": " << g17(report.counters[i].value);
+    str(i == 0 ? "" : ", ", report.counters[i].name);
+    num(": ", report.counters[i].value);
   }
   out << "}\n}\n";
   return out.str();
@@ -368,310 +347,140 @@ std::string render_json(const RunReport& report,
 
 namespace {
 
-/// Minimal recursive JSON value, just enough of RFC 8259 to walk
-/// render_json() output back into a ReportSummary.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
+/// Reads one object of a report document: `field(key)` consumes the
+/// value of each key it knows and returns false for the rest, which are
+/// skipped. Every key in `required` must be present.
+template <typename Field>
+void read_fields(obs::json::Cursor& cur, const char* what,
+                 std::initializer_list<std::string_view> required,
+                 Field&& field) {
+  std::uint32_t seen = 0;
+  cur.object([&](std::string_view key) {
+    std::uint32_t bit = 1;
+    for (const std::string_view name : required) {
+      if (key == name) seen |= bit;
+      bit <<= 1;
     }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("report json: " + what + " at offset " +
-                                std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
+    if (!field(key)) cur.skip_value();
+  });
+  std::uint32_t bit = 1;
+  for (const std::string_view name : required) {
+    if ((seen & bit) == 0) {
+      cur.fail("missing field '" + std::string(name) + "' (" + what + ")");
     }
+    bit <<= 1;
   }
+}
 
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_word(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
+ReportSummary::ClassRow read_class_row(obs::json::Cursor& cur) {
+  ReportSummary::ClassRow row;
+  read_fields(cur, "class row", {"target", "dir", "classes", "avg_gbps"},
+              [&](std::string_view key) {
+    if (key == "target") {
+      row.target = cur.integer<int>();
+    } else if (key == "dir") {
+      row.dir = cur.string();
+    } else if (key == "classes") {
+      cur.array([&] {
+        row.classes += row.classes.empty() ? "{" : " {";
+        cur.array([&] {
+          if (row.classes.back() != '{') row.classes += ' ';
+          row.classes += std::to_string(cur.integer<int>());
+        });
+        row.classes += '}';
+      });
+    } else if (key == "avg_gbps") {
+      cur.array([&] {
+        if (!row.avgs.empty()) row.avgs += " / ";
+        row.avgs += fixed(cur.number(), 1);
+      });
+    } else {
+      return false;
+    }
     return true;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    JsonValue v;
-    const char c = peek();
-    if (c == '{') {
-      v.kind = JsonValue::Kind::kObject;
-      ++pos_;
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
-      }
-      while (true) {
-        skip_ws();
-        std::string key = string_body();
-        skip_ws();
-        expect(':');
-        v.fields.emplace_back(std::move(key), value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      v.kind = JsonValue::Kind::kArray;
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      while (true) {
-        v.items.push_back(value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.kind = JsonValue::Kind::kString;
-      v.str = string_body();
-      return v;
-    }
-    if (consume_word("true")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_word("false")) {
-      v.kind = JsonValue::Kind::kBool;
-      return v;
-    }
-    if (consume_word("null")) return v;
-    // Number: delegate range/format checking to strtod.
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == 'i' || text_[pos_] == 'n' || text_[pos_] == 'f')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("unexpected character");
-    const std::string num(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    v.kind = JsonValue::Kind::kNumber;
-    v.num = std::strtod(num.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      pos_ = start;
-      fail("malformed number '" + num + "'");
-    }
-    return v;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape digit");
-          }
-          // render_json only escapes control characters, so the code
-          // point always fits one byte.
-          out += static_cast<char>(code);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue& require(const JsonValue& obj, std::string_view key,
-                         JsonValue::Kind kind, const char* what) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != kind) {
-    throw std::invalid_argument("report json: missing or mistyped field '" +
-                                std::string(key) + "' (" + what + ")");
-  }
-  return *v;
+  });
+  return row;
 }
 
 }  // namespace
 
 ReportSummary parse_report_json(const std::string& text) {
-  const JsonValue root = JsonReader(text).parse();
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::invalid_argument("report json: document is not an object");
-  }
+  obs::json::Cursor cur(text, "report json");
   ReportSummary s;
-  s.command =
-      require(root, "command", JsonValue::Kind::kString, "provenance").str;
-  s.records = static_cast<int>(
-      require(root, "records", JsonValue::Kind::kNumber, "record count").num);
-  s.critical_path_ns =
-      require(root, "critical_path_ns", JsonValue::Kind::kNumber, "path span")
-          .num;
-
-  for (const JsonValue& row :
-       require(root, "classes", JsonValue::Kind::kArray, "class table")
-           .items) {
-    ReportSummary::ClassRow out;
-    out.target = static_cast<int>(
-        require(row, "target", JsonValue::Kind::kNumber, "class row").num);
-    out.dir = require(row, "dir", JsonValue::Kind::kString, "class row").str;
-    for (const JsonValue& cls :
-         require(row, "classes", JsonValue::Kind::kArray, "class members")
-             .items) {
-      if (!out.classes.empty()) out.classes += ' ';
-      out.classes += '{';
-      for (std::size_t i = 0; i < cls.items.size(); ++i) {
-        if (i != 0) out.classes += ' ';
-        out.classes += std::to_string(static_cast<int>(cls.items[i].num));
-      }
-      out.classes += '}';
+  read_fields(
+      cur, "report",
+      {"command", "records", "critical_path_ns", "classes", "critical_path",
+       "span_kinds", "faults"},
+      [&](std::string_view key) {
+    if (key == "command") {
+      s.command = cur.string();
+    } else if (key == "records") {
+      s.records = cur.integer<int>();
+    } else if (key == "critical_path_ns") {
+      s.critical_path_ns = cur.number();
+    } else if (key == "classes") {
+      cur.array([&] { s.classes.push_back(read_class_row(cur)); });
+    } else if (key == "critical_path") {
+      cur.array([&] {
+        ReportSummary::PathStep& step = s.critical_path.emplace_back();
+        read_fields(cur, "path step", {"id", "name", "self_ns", "outcome"},
+                    [&](std::string_view k) {
+          if (k == "id") step.id = cur.integer<obs::EventId>();
+          else if (k == "name") step.name = cur.string();
+          else if (k == "self_ns") step.self_ns = cur.number();
+          else if (k == "outcome") step.outcome = cur.string();
+          else return false;
+          return true;
+        });
+      });
+    } else if (key == "span_kinds") {
+      cur.array([&] {
+        ReportSummary::SpanRow& span = s.span_kinds.emplace_back();
+        read_fields(cur, "span kind", {"name", "count", "total_ns"},
+                    [&](std::string_view k) {
+          if (k == "name") span.name = cur.string();
+          else if (k == "count") span.count = cur.integer<int>();
+          else if (k == "total_ns") span.total_ns = cur.number();
+          else return false;
+          return true;
+        });
+      });
+    } else if (key == "faults") {
+      read_fields(cur, "fault audit",
+                  {"transitions", "retries", "aborts", "caused"},
+                  [&](std::string_view k) {
+        if (k == "transitions") s.fault_transitions = cur.integer<int>();
+        else if (k == "retries") s.retries = cur.integer<int>();
+        else if (k == "aborts") s.aborts = cur.integer<int>();
+        else if (k == "caused") s.caused = cur.integer<int>();
+        else return false;
+        return true;
+      });
+    } else if (key == "sched_latency") {
+      // §6 is newer than the format and optional: reports without it
+      // parse with no rows, so old baselines keep diffing.
+      cur.array([&] {
+        ReportSummary::SchedRow& r = s.sched_latency.emplace_back();
+        read_fields(cur, "sched row",
+                    {"name", "count", "p50_ms", "p95_ms", "p99_ms",
+                     "p999_ms"},
+                    [&](std::string_view k) {
+          if (k == "name") r.name = cur.string();
+          else if (k == "count") r.count = cur.integer<int>();
+          else if (k == "p50_ms") r.p50_ms = cur.number();
+          else if (k == "p95_ms") r.p95_ms = cur.number();
+          else if (k == "p99_ms") r.p99_ms = cur.number();
+          else if (k == "p999_ms") r.p999_ms = cur.number();
+          else return false;
+          return true;
+        });
+      });
+    } else {
+      return false;
     }
-    const JsonValue& avgs =
-        require(row, "avg_gbps", JsonValue::Kind::kArray, "class averages");
-    for (std::size_t i = 0; i < avgs.items.size(); ++i) {
-      if (i != 0) out.avgs += " / ";
-      out.avgs += fixed(avgs.items[i].num, 1);
-    }
-    s.classes.push_back(std::move(out));
-  }
-
-  for (const JsonValue& row :
-       require(root, "critical_path", JsonValue::Kind::kArray, "path")
-           .items) {
-    ReportSummary::PathStep step;
-    step.id = static_cast<obs::EventId>(
-        require(row, "id", JsonValue::Kind::kNumber, "path step").num);
-    step.name = require(row, "name", JsonValue::Kind::kString, "path step")
-                    .str;
-    step.self_ns =
-        require(row, "self_ns", JsonValue::Kind::kNumber, "path step").num;
-    step.outcome =
-        require(row, "outcome", JsonValue::Kind::kString, "path step").str;
-    s.critical_path.push_back(std::move(step));
-  }
-
-  for (const JsonValue& row :
-       require(root, "span_kinds", JsonValue::Kind::kArray, "span table")
-           .items) {
-    ReportSummary::SpanRow span;
-    span.name =
-        require(row, "name", JsonValue::Kind::kString, "span kind").str;
-    span.count = static_cast<int>(
-        require(row, "count", JsonValue::Kind::kNumber, "span kind").num);
-    span.total_ns =
-        require(row, "total_ns", JsonValue::Kind::kNumber, "span kind").num;
-    s.span_kinds.push_back(std::move(span));
-  }
-
-  const JsonValue& faults =
-      require(root, "faults", JsonValue::Kind::kObject, "fault audit");
-  s.fault_transitions = static_cast<int>(
-      require(faults, "transitions", JsonValue::Kind::kNumber, "faults").num);
-  s.retries = static_cast<int>(
-      require(faults, "retries", JsonValue::Kind::kNumber, "faults").num);
-  s.aborts = static_cast<int>(
-      require(faults, "aborts", JsonValue::Kind::kNumber, "faults").num);
-  s.caused = static_cast<int>(
-      require(faults, "caused", JsonValue::Kind::kNumber, "faults").num);
-
-  // §6 is newer than the format: absent (pre-profiling reports) parses
-  // as an empty row set so old baselines keep diffing.
-  const JsonValue* sched = root.find("sched_latency");
-  if (sched != nullptr && sched->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& row : sched->items) {
-      ReportSummary::SchedRow r;
-      r.name =
-          require(row, "name", JsonValue::Kind::kString, "sched row").str;
-      r.count = static_cast<int>(
-          require(row, "count", JsonValue::Kind::kNumber, "sched row").num);
-      r.p50_ms =
-          require(row, "p50_ms", JsonValue::Kind::kNumber, "sched row").num;
-      r.p95_ms =
-          require(row, "p95_ms", JsonValue::Kind::kNumber, "sched row").num;
-      r.p99_ms =
-          require(row, "p99_ms", JsonValue::Kind::kNumber, "sched row").num;
-      r.p999_ms =
-          require(row, "p999_ms", JsonValue::Kind::kNumber, "sched row").num;
-      s.sched_latency.push_back(std::move(r));
-    }
-  }
+    return true;
+  });
+  cur.end();
   return s;
 }
 

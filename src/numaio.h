@@ -21,6 +21,7 @@
 // tail-latency histograms) and the live telemetry serve mode.
 #include "obs/analysis.h"
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/serve.h"

@@ -6,38 +6,13 @@
 #include <set>
 #include <string>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/stream.h"
 
 namespace numaio::obs {
 
 namespace {
-
-void json_escape(std::ostream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-std::string number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 /// Simulated ns -> the trace-event format's microsecond timestamps, at
 /// nanosecond (3-decimal) resolution. Untimed records render at 0.
@@ -66,14 +41,16 @@ struct EndStub {
 /// Common tail of every emitted trace event: the span/instant payload as
 /// importer-visible args.
 void write_args(std::ostream& out, const Event& begin, const EndStub* end) {
-  out << "\"args\":{\"record\":" << begin.id << ",\"outcome\":\"";
-  json_escape(out, end != nullptr ? end->outcome : begin.outcome);
-  out << "\",\"detail\":\"";
-  json_escape(out, begin.detail);
+  out << "\"args\":{\"record\":" << begin.id << ",\"outcome\":";
+  json::write_string(out, end != nullptr ? end->outcome : begin.outcome);
+  out << ",\"detail\":";
+  json::write_string(out, begin.detail);
   const long long bytes =
       end != nullptr && end->bytes > 0 ? end->bytes : begin.bytes;
-  out << "\",\"node_a\":" << begin.node_a << ",\"node_b\":" << begin.node_b
-      << ",\"dir\":\"" << begin.dir << "\",\"bytes\":" << bytes << "}}";
+  out << ",\"node_a\":" << begin.node_a << ",\"node_b\":" << begin.node_b
+      << ",\"dir\":";
+  json::write_string(out, {&begin.dir, 1});
+  out << ",\"bytes\":" << bytes << "}}";
 }
 
 /// Pass 1 over the capture: pair each span with its end stub, collect the
@@ -119,24 +96,24 @@ class EmitPass final : public TraceVisitor {
                                                     : 0.0;
         out_ << "{\"ph\":\"X\",\"pid\":0,\"tid\":" << tid_of(e)
              << ",\"ts\":" << ts_us(e.t_sim) << ",\"dur\":" << ts_us(dur_ns)
-             << ",\"cat\":\"span\",\"name\":\"";
+             << ",\"cat\":\"span\",\"name\":";
       } else {
         // Unclosed span: an open slice the importer extends to the end.
         out_ << "{\"ph\":\"B\",\"pid\":0,\"tid\":" << tid_of(e)
              << ",\"ts\":" << ts_us(e.t_sim)
-             << ",\"cat\":\"span\",\"name\":\"";
+             << ",\"cat\":\"span\",\"name\":";
       }
-      json_escape(out_, e.name);
-      out_ << "\",";
+      json::write_string(out_, e.name);
+      out_ << ",";
       write_args(out_, e, end);
       return;
     }
     // Instant record.
     sep();
     out_ << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" << tid_of(e)
-         << ",\"ts\":" << ts_us(e.t_sim) << ",\"cat\":\"instant\",\"name\":\"";
-    json_escape(out_, e.name);
-    out_ << "\",";
+         << ",\"ts\":" << ts_us(e.t_sim) << ",\"cat\":\"instant\",\"name\":";
+    json::write_string(out_, e.name);
+    out_ << ",";
     write_args(out_, e, nullptr);
     // Cause edge -> a flow arrow from the causing record to this one.
     // The flow id is the consequence's record id, unique per edge.
@@ -245,12 +222,16 @@ void export_prometheus(const MetricsRegistry& metrics, std::ostream& out) {
   for (const auto& [name, value] : metrics.counter_values()) {
     const std::string family = prom_name(name) + "_total";
     write_header(out, family, name, "counter");
-    out << family << ' ' << number(value) << '\n';
+    out << family << ' ';
+    json::write_number(out, value);
+    out << '\n';
   }
   for (const auto& [name, value] : metrics.gauge_values()) {
     const std::string family = prom_name(name);
     write_header(out, family, name, "gauge");
-    out << family << ' ' << number(value) << '\n';
+    out << family << ' ';
+    json::write_number(out, value);
+    out << '\n';
   }
   for (const MetricsRegistry::Histogram* h : metrics.histograms_sorted()) {
     const std::string family = prom_name(h->name);
@@ -259,11 +240,13 @@ void export_prometheus(const MetricsRegistry& metrics, std::ostream& out) {
     for (std::size_t i = 0; i < h->counts.size(); ++i) {
       cumulative += h->counts[i];
       out << family << "_bucket{le=\"";
-      if (i < h->bounds.size()) out << number(h->bounds[i]);
+      if (i < h->bounds.size()) json::write_number(out, h->bounds[i]);
       else out << "+Inf";
       out << "\"} " << cumulative << '\n';
     }
-    out << family << "_sum " << number(h->sum) << '\n';
+    out << family << "_sum ";
+    json::write_number(out, h->sum);
+    out << '\n';
     out << family << "_count " << h->count << '\n';
   }
 }

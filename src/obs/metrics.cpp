@@ -1,31 +1,17 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "obs/json.h"
 
 namespace numaio::obs {
 
 namespace {
-
-std::string number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string json_string(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
 
 template <typename Vec>
 typename Vec::value_type* find_by_name(Vec& entries, std::string_view name) {
@@ -208,34 +194,37 @@ std::string MetricsRegistry::to_json() const {
   for (const Histogram& h : histograms_) histograms[h.name] = &h;
 
   std::ostringstream out;
-  out << "{\n  \"counters\": {";
+  out << "{";
+  for (const auto& [section, values] :
+       {std::pair{"counters", &counters}, std::pair{"gauges", &gauges}}) {
+    out << "\n  \"" << section << "\": {";
+    bool first = true;
+    for (const auto& [name, value] : *values) {
+      out << (first ? "\n" : ",\n") << "    ";
+      json::write_string(out, name);
+      out << ": ";
+      json::write_number(out, value);
+      first = false;
+    }
+    out << (first ? "" : "\n  ") << "},";
+  }
+  out << "\n  \"histograms\": {";
   bool first = true;
-  for (const auto& [name, value] : counters) {
-    out << (first ? "\n" : ",\n") << "    " << json_string(name) << ": "
-        << number(value);
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out << (first ? "\n" : ",\n") << "    " << json_string(name) << ": "
-        << number(value);
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
   for (const auto& [name, h] : histograms) {
-    out << (first ? "\n" : ",\n") << "    " << json_string(name)
-        << ": {\"bounds\": [";
+    out << (first ? "\n" : ",\n") << "    ";
+    json::write_string(out, name);
+    out << ": {\"bounds\": [";
     for (std::size_t i = 0; i < h->bounds.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << number(h->bounds[i]);
+      out << (i == 0 ? "" : ", ");
+      json::write_number(out, h->bounds[i]);
     }
     out << "], \"counts\": [";
     for (std::size_t i = 0; i < h->counts.size(); ++i) {
       out << (i == 0 ? "" : ", ") << h->counts[i];
     }
-    out << "], \"count\": " << h->count << ", \"sum\": " << number(h->sum)
-        << "}";
+    out << "], \"count\": " << h->count << ", \"sum\": ";
+    json::write_number(out, h->sum);
+    out << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "}\n}\n";
@@ -251,38 +240,36 @@ std::string MetricsRegistry::summary() const {
   for (const Histogram& h : histograms_) histograms[h.name] = &h;
 
   std::ostringstream out;
-  if (!counters.empty()) {
-    out << "counters:\n";
-    for (const auto& [name, value] : counters) {
-      out << "  " << name << " = " << number(value) << "\n";
-    }
-  }
-  if (!gauges.empty()) {
-    out << "gauges:\n";
-    for (const auto& [name, value] : gauges) {
-      out << "  " << name << " = " << number(value) << "\n";
+  for (const auto& [section, values] :
+       {std::pair{"counters:\n", &counters}, std::pair{"gauges:\n", &gauges}}) {
+    if (!values->empty()) out << section;
+    for (const auto& [name, value] : *values) {
+      out << "  " << name << " = ";
+      json::write_number(out, value);
+      out << "\n";
     }
   }
   if (!histograms.empty()) {
     out << "histograms:\n";
+    const std::pair<const char*, double> quantiles[] = {
+        {", p50 ", 0.50}, {", p95 ", 0.95}, {", p99 ", 0.99},
+        {", p99.9 ", 0.999}};
     for (const auto& [name, h] : histograms) {
-      out << "  " << name << " (count " << h->count << ", sum "
-          << number(h->sum);
+      out << "  " << name << " (count " << h->count << ", sum ";
+      json::write_number(out, h->sum);
       if (h->count > 0) {
-        out << ", mean " << number(h->sum / static_cast<double>(h->count));
-        out << ", p50 " << number(h->quantile(0.50)) << ", p95 "
-            << number(h->quantile(0.95)) << ", p99 "
-            << number(h->quantile(0.99)) << ", p99.9 "
-            << number(h->quantile(0.999));
+        out << ", mean ";
+        json::write_number(out, h->sum / static_cast<double>(h->count));
+        for (const auto& [label, q] : quantiles) {
+          out << label;
+          json::write_number(out, h->quantile(q));
+        }
       }
       out << ")\n";
       for (std::size_t i = 0; i < h->counts.size(); ++i) {
-        out << "    ";
-        if (i < h->bounds.size()) {
-          out << "<= " << number(h->bounds[i]);
-        } else {
-          out << "> " << number(h->bounds.back());
-        }
+        const bool bounded = i < h->bounds.size();
+        out << (bounded ? "    <= " : "    > ");
+        json::write_number(out, bounded ? h->bounds[i] : h->bounds.back());
         out << ": " << h->counts[i] << "\n";
       }
     }
@@ -293,168 +280,50 @@ std::string MetricsRegistry::summary() const {
   return out.str();
 }
 
-namespace {
-
-/// Minimal recursive-descent parser for the exact JSON subset to_json()
-/// emits (objects, arrays of numbers, string keys, numbers). Not a general
-/// JSON parser; rejects anything outside that subset.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!try_consume(c)) {
-      throw std::invalid_argument("metrics JSON: expected '" +
-                                  std::string(1, c) + "' at offset " +
-                                  std::to_string(pos_));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out += c;
-    }
-    if (pos_ >= text_.size()) {
-      throw std::invalid_argument("metrics JSON: unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    std::size_t consumed = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(text_.substr(pos_), &consumed);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("metrics JSON: expected number at offset " +
-                                  std::to_string(pos_));
-    }
-    pos_ += consumed;
-    return value;
-  }
-
-  std::vector<double> parse_number_array() {
-    std::vector<double> out;
-    expect('[');
-    if (try_consume(']')) return out;
-    do {
-      out.push_back(parse_number());
-    } while (try_consume(','));
-    expect(']');
-    return out;
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 MetricsRegistry parse_metrics_json(const std::string& text) {
   MetricsRegistry registry;
-  JsonCursor cur(text);
-  cur.expect('{');
-  bool first_section = true;
-  while (!cur.try_consume('}')) {
-    if (!first_section) cur.expect(',');
-    first_section = false;
-    const std::string section = cur.parse_string();
-    if (section != "counters" && section != "gauges" &&
-        section != "histograms") {
-      throw std::invalid_argument("metrics JSON: unknown section '" +
-                                  section + "'");
-    }
-    cur.expect(':');
-    cur.expect('{');
-    bool first_entry = true;
-    while (!cur.try_consume('}')) {
-      if (!first_entry) cur.expect(',');
-      first_entry = false;
-      const std::string name = cur.parse_string();
-      cur.expect(':');
-      if (section == "counters") {
-        registry.add(registry.counter(name), cur.parse_number());
-      } else if (section == "gauges") {
-        registry.set(registry.gauge(name), cur.parse_number());
-      } else if (section == "histograms") {
-        cur.expect('{');
-        std::vector<double> bounds;
-        std::vector<double> counts;
-        double sum = 0.0;
-        bool first_field = true;
-        while (!cur.try_consume('}')) {
-          if (!first_field) cur.expect(',');
-          first_field = false;
-          const std::string field = cur.parse_string();
-          cur.expect(':');
-          if (field == "bounds") {
-            bounds = cur.parse_number_array();
-          } else if (field == "counts") {
-            counts = cur.parse_number_array();
-          } else if (field == "count") {
-            cur.parse_number();  // redundant with the counts array
-          } else if (field == "sum") {
-            sum = cur.parse_number();
-          } else {
-            throw std::invalid_argument(
-                "metrics JSON: unknown histogram field '" + field + "'");
-          }
-        }
-        if (counts.size() != bounds.size() + 1) {
-          throw std::invalid_argument("metrics JSON: histogram '" + name +
-                                      "' counts/bounds size mismatch");
-        }
+  json::Cursor cur(text, "metrics JSON");
+  cur.object([&](std::string_view section) {
+    if (section == "counters") {
+      cur.object([&](std::string_view name) {
+        const MetricsRegistry::Id id = registry.counter(name);
+        registry.add(id, cur.number());
+      });
+    } else if (section == "gauges") {
+      cur.object([&](std::string_view name) {
+        const MetricsRegistry::Id id = registry.gauge(name);
+        registry.set(id, cur.number());
+      });
+    } else if (section == "histograms") {
+      cur.object([&](std::string_view key) {
         MetricsRegistry::Histogram h;
-        h.name = name;
-        h.bounds = std::move(bounds);
-        h.sum = sum;
-        for (const double c : counts) {
-          if (c < 0.0) {
-            throw std::invalid_argument("metrics JSON: histogram '" + name +
-                                        "' has a negative bucket count");
+        h.name = key;
+        cur.object([&](std::string_view field) {
+          if (field == "bounds") {
+            cur.array([&] { h.bounds.push_back(cur.number()); });
+          } else if (field == "counts") {
+            cur.array([&] {
+              h.counts.push_back(cur.integer<std::uint64_t>());
+              h.count += h.counts.back();
+            });
+          } else if (field == "count") {
+            cur.number();  // redundant with the counts array
+          } else if (field == "sum") {
+            h.sum = cur.number();
+          } else {
+            cur.fail("unknown histogram field '" + std::string(field) + "'");
           }
-          h.counts.push_back(static_cast<std::uint64_t>(c));
-          h.count += h.counts.back();
+        });
+        if (h.counts.size() != h.bounds.size() + 1) {
+          cur.fail("histogram '" + h.name + "' counts/bounds size mismatch");
         }
         registry.histograms_.push_back(std::move(h));
-      } else {
-        throw std::invalid_argument("metrics JSON: unknown section '" +
-                                    section + "'");
-      }
+      });
+    } else {
+      cur.fail("unknown section '" + std::string(section) + "'");
     }
-  }
-  if (!cur.at_end()) {
-    throw std::invalid_argument("metrics JSON: trailing content");
-  }
+  });
+  cur.end();
   return registry;
 }
 

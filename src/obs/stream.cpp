@@ -5,150 +5,53 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/json.h"
+
 namespace numaio::obs {
 
-namespace {
-
-// ---------------------------------------------------------------------
-// JSONL parse-back: the exact object layout JsonlSink writes, one record
-// per line, keys accepted in any order so hand-edited fixtures also load.
-
-class ObjectCursor {
- public:
-  ObjectCursor(std::string_view line, int line_no)
-      : line_(line), line_no_(line_no) {}
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("trace line " + std::to_string(line_no_) +
-                                ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < line_.size() &&
-           (line_[pos_] == ' ' || line_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < line_.size() && line_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!try_consume(c)) fail(std::string("expected '") + c + "'");
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < line_.size() && line_[pos_] != '"') {
-      char c = line_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= line_.size()) fail("dangling escape");
-        const char esc = line_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'u': {
-            if (pos_ + 4 > line_.size()) fail("short \\u escape");
-            unsigned value = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = line_[pos_++];
-              value <<= 4;
-              if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                value |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                value |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad \\u escape");
-            }
-            c = static_cast<char>(value);  // sinks only escape < 0x20
-            break;
-          }
-          default:
-            fail("unknown escape");
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= line_.size()) fail("unterminated string");
-    ++pos_;
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    std::size_t consumed = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(std::string(line_.substr(pos_)), &consumed);
-    } catch (const std::exception&) {
-      fail("expected a number");
-    }
-    pos_ += consumed;
-    return value;
-  }
-
- private:
-  std::string_view line_;
-  std::size_t pos_ = 0;
-  int line_no_;
-};
-
-}  // namespace
-
+// JSONL parse-back: the object layout JsonlSink writes, one record per
+// line, keys accepted in any order so hand-edited fixtures also load.
 Event parse_trace_line(std::string_view line, int line_no) {
-  ObjectCursor cur(line, line_no);
+  json::Cursor cur(line, "trace line", line_no);
   Event e;
   e.wall_us = -1.0;  // deterministic traces omit the field
-  cur.expect('{');
-  bool first = true;
-  while (!cur.try_consume('}')) {
-    if (!first) cur.expect(',');
-    first = false;
-    const std::string key = cur.parse_string();
-    cur.expect(':');
+  const auto one_char = [&cur](const char* what) {
+    const std::string_view v = cur.string();
+    if (v.size() != 1) cur.fail(std::string(what) + " must be one character");
+    return v[0];
+  };
+  cur.object([&](std::string_view key) {
     if (key == "id") {
-      e.id = static_cast<EventId>(cur.parse_number());
+      e.id = cur.integer<EventId>();
     } else if (key == "span") {
-      e.span = static_cast<SpanId>(cur.parse_number());
+      e.span = cur.integer<SpanId>();
     } else if (key == "parent") {
-      e.parent = static_cast<EventId>(cur.parse_number());
+      e.parent = cur.integer<EventId>();
     } else if (key == "kind") {
-      const std::string v = cur.parse_string();
-      if (v.size() != 1) cur.fail("kind must be one character");
-      e.kind = v[0];
+      e.kind = one_char("kind");
     } else if (key == "name") {
-      e.name = cur.parse_string();
+      e.name = cur.string();
     } else if (key == "node_a") {
-      e.node_a = static_cast<int>(cur.parse_number());
+      e.node_a = cur.integer<int>();
     } else if (key == "node_b") {
-      e.node_b = static_cast<int>(cur.parse_number());
+      e.node_b = cur.integer<int>();
     } else if (key == "dir") {
-      const std::string v = cur.parse_string();
-      if (v.size() != 1) cur.fail("dir must be one character");
-      e.dir = v[0];
+      e.dir = one_char("dir");
     } else if (key == "bytes") {
-      e.bytes = static_cast<long long>(cur.parse_number());
+      e.bytes = cur.integer<long long>();
     } else if (key == "t") {
-      e.t_sim = cur.parse_number();
+      e.t_sim = cur.number();
     } else if (key == "outcome") {
-      e.outcome = cur.parse_string();
+      e.outcome = cur.string();
     } else if (key == "detail") {
-      e.detail = cur.parse_string();
+      e.detail = cur.string();
     } else if (key == "wall_us") {
-      e.wall_us = cur.parse_number();
+      e.wall_us = cur.number();
     } else {
-      cur.fail("unknown field '" + key + "'");
+      cur.fail("unknown field '" + std::string(key) + "'");
     }
-  }
+  });
+  cur.end();
   if (e.id == 0) cur.fail("record without an id");
   return e;
 }

@@ -1,9 +1,9 @@
 #include "obs/trace.h"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <ostream>
+
+#include "obs/json.h"
 
 namespace numaio::obs {
 
@@ -13,36 +13,6 @@ std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// JSON string escaping for the small character set our names/details use;
-/// anything below 0x20 goes out as \u00XX.
-void json_escape(std::ostream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
 }
 
 /// CSV field quoting: always quoted, inner quotes doubled, so commas and
@@ -56,37 +26,30 @@ void csv_quote(std::ostream& out, std::string_view text) {
   out << '"';
 }
 
-/// Shortest round-trip-safe rendering of a double (%.17g trims trailing
-/// noise for the integral values timestamps usually are).
-void number(std::ostream& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out << buf;
-}
-
 }  // namespace
 
 void JsonlSink::write(const Event& e) {
   out_ << "{\"id\":" << e.id << ",\"span\":" << e.span
-       << ",\"parent\":" << e.parent << ",\"kind\":\"" << e.kind
-       << "\",\"name\":\"";
-  json_escape(out_, e.name);
-  out_ << "\",\"node_a\":" << e.node_a << ",\"node_b\":" << e.node_b
-       << ",\"dir\":\"" << e.dir << "\",\"bytes\":" << e.bytes << ",\"t\":";
-  number(out_, e.t_sim);
-  out_ << ",\"outcome\":\"";
-  json_escape(out_, e.outcome);
-  out_ << "\",\"detail\":\"";
-  json_escape(out_, e.detail);
+       << ",\"parent\":" << e.parent << ",\"kind\":";
+  json::write_string(out_, {&e.kind, 1});
+  out_ << ",\"name\":";
+  json::write_string(out_, e.name);
+  out_ << ",\"node_a\":" << e.node_a << ",\"node_b\":" << e.node_b
+       << ",\"dir\":";
+  json::write_string(out_, {&e.dir, 1});
+  out_ << ",\"bytes\":" << e.bytes << ",\"t\":";
+  json::write_number(out_, e.t_sim);
+  out_ << ",\"outcome\":";
+  json::write_string(out_, e.outcome);
+  out_ << ",\"detail\":";
+  json::write_string(out_, e.detail);
   // Deterministic records (wall_us < 0) omit the one nondeterministic
   // field so same-seed trace files compare byte-equal.
   if (e.wall_us >= 0.0) {
-    out_ << "\",\"wall_us\":";
-    number(out_, e.wall_us);
-    out_ << "}\n";
-  } else {
-    out_ << "\"}\n";
+    out_ << ",\"wall_us\":";
+    json::write_number(out_, e.wall_us);
   }
+  out_ << "}\n";
 }
 
 void CsvSink::write(const Event& e) {
@@ -99,13 +62,14 @@ void CsvSink::write(const Event& e) {
   csv_quote(out_, e.name);
   out_ << ',' << e.node_a << ',' << e.node_b << ',' << e.dir << ','
        << e.bytes << ',';
-  number(out_, e.t_sim);
+  json::write_number(out_, e.t_sim);
   out_ << ',';
   csv_quote(out_, e.outcome);
   out_ << ',';
   csv_quote(out_, e.detail);
   out_ << ',';
-  if (e.wall_us >= 0.0) number(out_, e.wall_us);  // empty when deterministic
+  // Empty when deterministic.
+  if (e.wall_us >= 0.0) json::write_number(out_, e.wall_us);
   out_ << '\n';
 }
 

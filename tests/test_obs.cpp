@@ -265,6 +265,49 @@ TEST(Metrics, JsonRoundTripIsExact) {
   EXPECT_THROW(parse_metrics_json("{} trailing"), std::invalid_argument);
 }
 
+TEST(Metrics, NamesWithEscapesRoundTrip) {
+  const std::vector<std::string> names = {
+      "quote\"d", "back\\slash", "new\nline", "tab\tbed",
+      "ctl\x01" "char"};
+  MetricsRegistry m;
+  double v = 1.0;
+  for (const std::string& name : names) {
+    m.add(m.counter("c." + name), v);
+    m.set(m.gauge("g." + name), v + 0.5);
+    m.observe(m.histogram("h." + name, {1.0, 2.0}), v);
+    v += 1.0;
+  }
+  const std::string json = m.to_json();
+  EXPECT_EQ(json.find('\x01'), std::string::npos);  // escaped as \u0001
+  const MetricsRegistry parsed = parse_metrics_json(json);
+  EXPECT_EQ(parsed.to_json(), json);
+  v = 1.0;
+  for (const std::string& name : names) {
+    EXPECT_EQ(parsed.value("c." + name), v) << name;
+    EXPECT_EQ(parsed.value("g." + name), v + 0.5) << name;
+    EXPECT_NE(parsed.find_histogram("h." + name), nullptr) << name;
+    v += 1.0;
+  }
+}
+
+TEST(Metrics, HistogramCountsMustBeIntegral) {
+  const auto doc = [](const std::string& counts) {
+    return "{\"histograms\": {\"h\": {\"bounds\": [1], \"counts\": [" +
+           counts + "], \"sum\": 0}}}";
+  };
+  for (const std::string counts :
+       {"1.5, 0", "-1, 0", "1e300, 0", "0x10, 0", "18446744073709551616, 0"}) {
+    EXPECT_THROW(parse_metrics_json(doc(counts)), std::invalid_argument)
+        << counts;
+  }
+  // %.17g writes counts from 10^17 up in exponent form.
+  const MetricsRegistry parsed = parse_metrics_json(doc("1e+17, 3"));
+  const MetricsRegistry::Histogram* h = parsed.find_histogram("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->counts[0], 100000000000000000u);
+  EXPECT_EQ(h->count, 100000000000000003u);
+}
+
 TEST(Metrics, EmptyRegistrySerializesAndSummarizes) {
   MetricsRegistry m;
   const MetricsRegistry parsed = parse_metrics_json(m.to_json());

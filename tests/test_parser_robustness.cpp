@@ -1,15 +1,23 @@
-// Robustness property tests for the three text parsers (fio job files,
-// host-model documents, transfer traces): random single-character
-// mutations of valid documents must either parse or throw
-// std::invalid_argument — never crash, never hang, never corrupt state.
+// Robustness property tests for the text parsers: fio job files,
+// host-model documents and CSV transfer traces, plus the three JSON
+// readers built on obs/json (JSONL trace captures, metrics snapshots,
+// run reports). Random single-character mutations of valid documents
+// must either parse or throw std::invalid_argument — never crash, never
+// hang, never corrupt state.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "fleet/fleet.h"
 #include "io/jobfile.h"
 #include "io/trace.h"
 #include "model/characterize.h"
+#include "model/perf_report.h"
+#include "obs/analysis.h"
+#include "obs/obs.h"
 #include "simcore/rng.h"
 
 namespace numaio {
@@ -93,6 +101,75 @@ TEST_P(ParserFuzz, TraceNeverCrashes) {
       EXPECT_FALSE(parsed.empty());
     } catch (const std::invalid_argument&) {
     } catch (const std::out_of_range&) {
+    }
+  }
+}
+
+/// A small deterministic fleet capture (crash, retries, sheds) as JSONL.
+std::string fleet_capture() {
+  const fleet::StormScenario storm =
+      fleet::make_storm(/*num_hosts=*/2, /*num_tenants=*/2,
+                        /*offered_rps=*/400.0, /*seed=*/5, /*horizon=*/0.2e9);
+  std::ostringstream out;
+  obs::Context ctx;
+  obs::JsonlSink sink(out);
+  ctx.trace.set_deterministic(true);
+  ctx.trace.set_sink(&sink);
+  fleet::FleetSim sim(storm.config, storm.tenants);
+  sim.set_fault_plan(storm.plan);
+  sim.set_observer(&ctx);
+  sim.run();
+  return out.str();
+}
+
+obs::MetricsRegistry sample_metrics() {
+  obs::MetricsRegistry m;
+  m.add(m.counter("fleet.completed"), 1750.0);
+  m.add(m.counter("name \"with\"\tescapes"), 3.0);
+  m.set(m.gauge("solver.components"), 2.5);
+  const auto h = m.histogram("fleet.queue_ms", {0.5, 1.0, 10.0});
+  for (const double v : {0.1, 0.7, 3.0, 42.0}) m.observe(h, v);
+  return m;
+}
+
+TEST_P(ParserFuzz, TraceJsonlNeverCrashes) {
+  sim::Rng rng(GetParam() + 3000);
+  const std::string base = fleet_capture();
+  ASSERT_FALSE(obs::parse_trace_jsonl(base).empty());
+  for (int i = 0; i < 200; ++i) {
+    const std::string doc = mutate(base, rng);
+    try {
+      EXPECT_FALSE(obs::parse_trace_jsonl(doc).empty());
+    } catch (const std::invalid_argument&) {
+    }
+  }
+}
+
+TEST_P(ParserFuzz, MetricsJsonNeverCrashes) {
+  sim::Rng rng(GetParam() + 4000);
+  const std::string base = sample_metrics().to_json();
+  for (int i = 0; i < 200; ++i) {
+    const std::string doc = mutate(base, rng);
+    try {
+      obs::parse_metrics_json(doc).to_json();
+    } catch (const std::invalid_argument&) {
+    }
+  }
+}
+
+TEST_P(ParserFuzz, ReportJsonNeverCrashes) {
+  sim::Rng rng(GetParam() + 5000);
+  const model::HostModel host = model::parse_host_model(valid_model_doc());
+  const obs::MetricsRegistry metrics = sample_metrics();
+  const std::string base = model::render_json(model::build_run_report(
+      "report fuzz", &host, obs::parse_trace_jsonl(fleet_capture()),
+      &metrics));
+  for (int i = 0; i < 200; ++i) {
+    const std::string doc = mutate(base, rng);
+    try {
+      const model::ReportSummary parsed = model::parse_report_json(doc);
+      model::diff_reports(parsed, parsed);
+    } catch (const std::invalid_argument&) {
     }
   }
 }

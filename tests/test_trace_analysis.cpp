@@ -4,6 +4,8 @@
 // bytes, the fault audit, and histogram quantile estimation.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -11,6 +13,7 @@
 
 #include "obs/analysis.h"
 #include "obs/metrics.h"
+#include "obs/stream.h"
 #include "obs/trace.h"
 
 namespace numaio::obs {
@@ -88,6 +91,86 @@ TEST(ParseTraceJsonl, RejectsMalformedInputWithLineNumber) {
   EXPECT_THROW(parse_trace_jsonl("{\"kind\":\"I\"}\n"),
                std::invalid_argument);  // record without an id
   EXPECT_THROW(parse_trace_jsonl("not json\n"), std::invalid_argument);
+}
+
+TEST(ParseTraceJsonl, RejectsContentAfterTheRecord) {
+  // A second object on one line must not load as the first record with
+  // the second silently dropped.
+  EXPECT_THROW(
+      parse_trace_jsonl("{\"id\":1,\"kind\":\"I\",\"name\":\"a\"}"
+                        "{\"id\":2,\"kind\":\"I\",\"name\":\"b\"}\n"),
+      std::invalid_argument);
+  EXPECT_THROW(parse_trace_jsonl("{\"id\":1,\"kind\":\"I\"} x\n"),
+               std::invalid_argument);
+}
+
+TEST(ParseTraceJsonl, LoadsCrlfLines) {
+  const std::string crlf =
+      "{\"id\":1,\"kind\":\"I\",\"name\":\"a\"}\r\n"
+      "{\"id\":2,\"kind\":\"I\",\"name\":\"b\"}\r\n";
+  const std::vector<Event> parsed = parse_trace_jsonl(crlf);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[1].id, 2u);
+  EXPECT_EQ(parsed[1].name, "b");
+
+  // The file source reads lines with getline, which keeps the '\r'.
+  const std::string path =
+      ::testing::TempDir() + "numaio_crlf_capture.jsonl";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << crlf;
+  }
+  JsonlFileSource source(path);
+  MemorySink sink;
+  source.stream(sink);
+  std::remove(path.c_str());
+  ASSERT_EQ(sink.events.size(), 2u);
+  EXPECT_EQ(sink.events[0].name, "a");
+}
+
+TEST(ParseTraceJsonl, OneCharacterFieldsAreEscaped) {
+  std::ostringstream text;
+  JsonlSink jsonl(text);
+  TraceRecorder trace;
+  trace.set_deterministic(true);
+  trace.set_sink(&jsonl);
+  for (const char dir : {'"', '\\', '\n', '\x01'}) {
+    EventFields fields;
+    fields.dir = dir;
+    trace.event("x", 0, 0, "ok", fields);
+  }
+  const std::vector<Event> parsed = parse_trace_jsonl(text.str());
+  ASSERT_EQ(parsed.size(), 4u);
+  EXPECT_EQ(parsed[0].dir, '"');
+  EXPECT_EQ(parsed[1].dir, '\\');
+  EXPECT_EQ(parsed[2].dir, '\n');
+  EXPECT_EQ(parsed[3].dir, '\x01');
+  EXPECT_EQ(parsed[3].kind, 'I');
+}
+
+TEST(ParseTraceJsonl, IntegerFieldsMustBeIntegralAndInRange) {
+  const auto with = [](const std::string& field) {
+    return "{\"id\":1,\"kind\":\"I\"," + field + "}\n";
+  };
+  for (const std::string field :
+       {"\"id\":2.9", "\"id\":0x10", "\"id\":1e300", "\"id\":-1",
+        "\"span\":-3", "\"parent\":18446744073709551616",
+        "\"node_a\":1e10", "\"node_b\":-2147483649", "\"bytes\":0.5",
+        "\"bytes\":1e19", "\"bytes\":nan", "\"id\":inf"}) {
+    EXPECT_THROW(parse_trace_jsonl(with(field)), std::invalid_argument)
+        << field;
+  }
+  // %.17g writes integral doubles from 10^17 up in exponent form.
+  const auto events = parse_trace_jsonl(
+      with("\"bytes\":1e+17,\"span\":1.0e2,\"node_a\":-1"));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].bytes, 100000000000000000LL);
+  EXPECT_EQ(events[0].span, 100u);
+  EXPECT_EQ(events[0].node_a, -1);
+  const auto big = parse_trace_jsonl(
+      "{\"id\":18446744073709551615,\"kind\":\"I\"}\n");
+  ASSERT_EQ(big.size(), 1u);
+  EXPECT_EQ(big[0].id, 18446744073709551615u);
 }
 
 // --- aggregates -----------------------------------------------------------
