@@ -39,11 +39,13 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 # and 2,000-tenant storm runs; PriorityFifo/BoundedQueue churn the
 # map-of-deque queue with a 20,000-op shed property trace,
 # EventEngine covers the typed event heap, its delay lines and its phase
-# order, and Stats the sort-once percentile reads the fleet report uses.
+# order, FleetEquivalence the deferred completion projection against
+# recorded whole-run digests, and Stats the selection percentile reads
+# the fleet report uses.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='TokenBucket*:BoundedQueue*:PriorityFifo*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetConservation*:EventEngine*:Stats*:FaultPlanFile*'
+  --gtest_filter='TokenBucket*:BoundedQueue*:PriorityFifo*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetConservation*:*FleetEquivalence*:EventEngine*:Stats*:FaultPlanFile*'
 
 # halt_on_error: the first sanitizer report fails the test run instead of
 # scrolling past; detect_leaks exercises the Host/Buffer ownership paths.

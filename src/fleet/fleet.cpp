@@ -112,9 +112,12 @@ struct HostState {
   CircuitBreaker breaker;
   std::vector<Request*> inflight;
   sim::Ns last_advance = 0.0;
-  /// Bumped on any change to the host's flow set or capacity factor;
-  /// completion-projection events with a stale generation are no-ops.
+  /// Bumped by every projection; completion alarms with a stale
+  /// generation are no-ops.
   std::uint64_t projection = 0;
+  /// The flow set or capacity factor changed at this instant; the event
+  /// loop projects the host's next completion before the next pop.
+  bool projection_pending = false;
   int sku = 0;  ///< 0 = DL585, 1 = the lite SKU (alt_sku_every).
   /// This host's SKU's unloaded coarse capacity (Gbps) and class-1
   /// serve nodes — per host since a mixed fleet has per-SKU values.
@@ -405,12 +408,30 @@ class FleetRuntime {
     }
   }
 
+  /// Marks the host for projection after any change to its flow set or
+  /// capacity factor. run_events projects every marked host once, at
+  /// engine_.now(), before the next pop (DESIGN.md §13): a host that
+  /// takes many dispatches in one instant schedules one alarm, not one
+  /// per dispatch.
+  void reproject(int h) {
+    HostState& hs = hosts_[static_cast<std::size_t>(h)];
+    if (hs.projection_pending) return;
+    hs.projection_pending = true;
+    pending_projections_.push_back(h);
+  }
+
+  void flush_projections(sim::Ns now) {
+    for (const int h : pending_projections_) project(h, now);
+    pending_projections_.clear();
+  }
+
   /// Schedules the host's next flow completion (earliest projected finish
   /// under the current rates and capacity factor) as an alarm event. With
   /// completion_grid > 0 the alarm rounds up to the next grid instant so
   /// completions across hosts share instants.
-  void reproject(int h, sim::Ns now) {
+  void project(int h, sim::Ns now) {
     HostState& hs = hosts_[static_cast<std::size_t>(h)];
+    hs.projection_pending = false;
     const std::uint64_t generation = ++hs.projection;
     const double factor = host_factor(h, now);
     if (hs.inflight.empty() || factor <= 0.0) return;
@@ -468,7 +489,7 @@ class FleetRuntime {
       any = true;
       for (Request* req : hs.finished) complete_request(*req, now);
       hs.finished.clear();
-      reproject(h, now);
+      reproject(h);
     }
     if (any) try_dispatch(now);
   }
@@ -541,14 +562,14 @@ class FleetRuntime {
             : req.deadline_at;
     engine_.schedule(timeout_at, kControlPhase, kTimeoutEvent, req.id,
                      req.generation);
-    reproject(h, now);
+    reproject(h);
   }
 
   void on_attempt_timeout(Request& req, sim::Ns now) {
     const int h = req.host;
     advance_host(h, now);
     detach_attempt(req);
-    reproject(h, now);
+    reproject(h);
     HostState& hs = hosts_[static_cast<std::size_t>(h)];
     const bool fault_active =
         injector_ != nullptr &&
@@ -810,17 +831,15 @@ class FleetRuntime {
       if (placer_.stale(now)) refresh_summaries(now);
       scratch_load_.clear();
       for (const HostState& hs : hosts_) {
-        scratch_load_.push_back(static_cast<int>(hs.inflight.size()));
+        const int load = static_cast<int>(hs.inflight.size());
+        scratch_load_.push_back(load < config_.max_inflight_per_host &&
+                                        hs.breaker.can_accept(now)
+                                    ? load
+                                    : ClassPlacer::kIneligible);
       }
       const long long spread0 = placer_.spread_picks();
       const long long fallback0 = placer_.fallback_picks();
-      const int pick =
-          placer_.pick(scratch_load_, [this, now](int h) {
-            const HostState& hs = hosts_[static_cast<std::size_t>(h)];
-            return static_cast<int>(hs.inflight.size()) <
-                       config_.max_inflight_per_host &&
-                   hs.breaker.can_accept(now);
-          });
+      const int pick = placer_.pick(scratch_load_);
       if (obs_ != nullptr) {
         obs_->metrics.add(
             m_place_spread_,
@@ -917,7 +936,7 @@ class FleetRuntime {
       emit("fleet.replace", *req, "replaced", fault_cause(), at);
       enqueue(*req, at);
     }
-    ++hs.projection;  // cancel any pending completion projection
+    reproject(h);
   }
 
   void on_breaker_transition(int h, BreakerState from, BreakerState to,
@@ -957,15 +976,19 @@ class FleetRuntime {
     // Progress every host under pre-transition rates, then mutate.
     for (int h = 0; h < config_.num_hosts; ++h) advance_host(h, now);
     injector_->advance_to(now);
-    for (int h = 0; h < config_.num_hosts; ++h) reproject(h, now);
+    for (int h = 0; h < config_.num_hosts; ++h) reproject(h);
     try_dispatch(now);
     arm_fault_steps(now);
   }
 
   /// Pops and handles events until none is left; returns the time of the
-  /// last one. Generation checks drop superseded timeouts and retries.
+  /// last one. Hosts marked by the last handler are projected before each
+  /// pop. Generation checks drop superseded timeouts and retries.
   sim::Ns run_events() {
-    while (const std::optional<sim::EventEngine::Event> ev = engine_.pop()) {
+    for (;;) {
+      flush_projections(engine_.now());
+      const std::optional<sim::EventEngine::Event> ev = engine_.pop();
+      if (!ev) break;
       const sim::Ns now = ev->at;
       switch (static_cast<EventKind>(ev->kind)) {
         case kAlarmEvent:
@@ -1014,9 +1037,10 @@ class FleetRuntime {
     for (TenantRuntime& tenant : tenants_) {
       TenantStats stats = tenant.stats;
       if (!tenant.latencies.empty()) {
-        std::sort(tenant.latencies.begin(), tenant.latencies.end());
-        stats.latency_p50 = sim::percentile_sorted(tenant.latencies, 0.5);
-        stats.latency_p99 = sim::percentile_sorted(tenant.latencies, 0.99);
+        const std::vector<double> q =
+            sim::select_percentiles(tenant.latencies, {0.5, 0.99});
+        stats.latency_p50 = q[0];
+        stats.latency_p99 = q[1];
       }
       if (horizon_s > 0.0) {
         stats.goodput_rps =
@@ -1049,15 +1073,17 @@ class FleetRuntime {
                              static_cast<double>(report.submitted);
     }
     if (!all_latencies_.empty()) {
-      std::sort(all_latencies_.begin(), all_latencies_.end());
-      report.accepted_p50 = sim::percentile_sorted(all_latencies_, 0.5);
-      report.accepted_p99 = sim::percentile_sorted(all_latencies_, 0.99);
-      report.accepted_p999 = sim::percentile_sorted(all_latencies_, 0.999);
+      const std::vector<double> q =
+          sim::select_percentiles(all_latencies_, {0.5, 0.99, 0.999});
+      report.accepted_p50 = q[0];
+      report.accepted_p99 = q[1];
+      report.accepted_p999 = q[2];
     }
     if (!placement_lat_.empty()) {
-      std::sort(placement_lat_.begin(), placement_lat_.end());
-      report.placement_p50 = sim::percentile_sorted(placement_lat_, 0.5);
-      report.placement_p99 = sim::percentile_sorted(placement_lat_, 0.99);
+      const std::vector<double> q =
+          sim::select_percentiles(placement_lat_, {0.5, 0.99});
+      report.placement_p50 = q[0];
+      report.placement_p99 = q[1];
     }
     if (obs_ != nullptr) {
       obs_->metrics.set(
@@ -1083,6 +1109,7 @@ class FleetRuntime {
   /// timers: their delay lines take them off the heap.
   sim::EventEngine engine_{kDeadlineEvent, kTimeoutEvent};
   std::vector<HostState> hosts_;
+  std::vector<int> pending_projections_;  ///< Hosts marked by reproject.
   std::vector<TenantRuntime> tenants_;
   /// Request arena: deque for stable addresses with chunked allocation
   /// (a scale run creates millions; one heap node per request was
@@ -1104,7 +1131,7 @@ class FleetRuntime {
   std::vector<topo::NodeId> serve_nodes_[2];  ///< Class-1 nodes (rr).
   std::size_t node_rr_ = 0;
   std::vector<HostSummary> summaries_;  ///< Scratch per refresh.
-  std::vector<int> scratch_load_;       ///< Scratch per pick.
+  std::vector<int> scratch_load_;       ///< Per-pick load or kIneligible.
   std::vector<double> placement_lat_;   ///< Admission -> first dispatch.
   obs::SpanId run_span_ = 0;
   sim::Ns dispatch_wakeup_at_ = -1.0;

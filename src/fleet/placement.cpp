@@ -28,8 +28,7 @@ void ClassPlacer::refresh(std::span<const HostSummary> summaries,
   ++refreshes_;
 }
 
-int ClassPlacer::pick(std::span<const int> live_load,
-                      const std::function<bool(int)>& eligible) {
+int ClassPlacer::pick(std::span<const int> live_load) {
   assert(static_cast<int>(live_load.size()) == num_hosts_);
   const auto load = [&live_load](int h) {
     return live_load[static_cast<std::size_t>(h)];
@@ -38,7 +37,7 @@ int ClassPlacer::pick(std::span<const int> live_load,
     // Not yet refreshed: global least-loaded, the PR 6 policy.
     int best = -1;
     for (int h = 0; h < num_hosts_; ++h) {
-      if (!eligible(h)) continue;
+      if (load(h) == kIneligible) continue;
       if (best < 0 || load(h) < load(best)) best = h;
     }
     return best;
@@ -48,7 +47,7 @@ int ClassPlacer::pick(std::span<const int> live_load,
     const std::size_t cls = (cursor_ + attempt) % k;
     int best = -1;
     for (const int h : classes_[cls]) {
-      if (!eligible(h)) continue;
+      if (load(h) == kIneligible) continue;
       if (best < 0 || load(h) < load(best)) best = h;
     }
     if (best >= 0) {

@@ -12,7 +12,6 @@
 // in DESIGN.md §12.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -49,15 +48,17 @@ class ClassPlacer {
   /// Classes are ordered fastest first; host ids ascend within a class.
   void refresh(std::span<const HostSummary> summaries, sim::Ns now);
 
+  /// `live_load` entry of a host that cannot take a request now.
+  static constexpr int kIneligible = -1;
+
   /// Picks a host: starting from the round-robin cursor class, take the
   /// least-loaded eligible host (ties: lower id) of the first class that
   /// has one, then advance the cursor past that class. `live_load` is
-  /// current inflight per host (live, not summary — load changes every
-  /// dispatch; class membership does not). Returns -1 when no host is
-  /// eligible. Before the first refresh there are no classes and the
-  /// scan degrades to global least-loaded.
-  int pick(std::span<const int> live_load,
-           const std::function<bool(int)>& eligible);
+  /// current inflight per host, or kIneligible (live, not summary — load
+  /// and eligibility change every dispatch; class membership does not).
+  /// Returns -1 when no host is eligible. Before the first refresh there
+  /// are no classes and the scan degrades to global least-loaded.
+  int pick(std::span<const int> live_load);
 
   int num_classes() const { return static_cast<int>(classes_.size()); }
   const std::vector<std::vector<int>>& classes() const { return classes_; }

@@ -26,6 +26,16 @@ void csv_quote(std::ostream& out, std::string_view text) {
   out << '"';
 }
 
+/// A one-character field (kind, dir): bare, and quoted only when the
+/// character would shear the row, so ordinary rows keep their bytes.
+void csv_char(std::ostream& out, char c) {
+  if (c == ',' || c == '"' || c == '\r' || c == '\n') {
+    csv_quote(out, {&c, 1});
+  } else {
+    out << c;
+  }
+}
+
 }  // namespace
 
 void JsonlSink::write(const Event& e) {
@@ -58,10 +68,13 @@ void CsvSink::write(const Event& e) {
             "detail,wall_us\n";
     header_written_ = true;
   }
-  out_ << e.id << ',' << e.span << ',' << e.parent << ',' << e.kind << ',';
+  out_ << e.id << ',' << e.span << ',' << e.parent << ',';
+  csv_char(out_, e.kind);
+  out_ << ',';
   csv_quote(out_, e.name);
-  out_ << ',' << e.node_a << ',' << e.node_b << ',' << e.dir << ','
-       << e.bytes << ',';
+  out_ << ',' << e.node_a << ',' << e.node_b << ',';
+  csv_char(out_, e.dir);
+  out_ << ',' << e.bytes << ',';
   json::write_number(out_, e.t_sim);
   out_ << ',';
   csv_quote(out_, e.outcome);

@@ -34,15 +34,62 @@ double percentile(std::span<const double> values, double p) {
   return percentile_sorted(sorted, p);
 }
 
-double percentile_sorted(std::span<const double> sorted, double p) {
-  assert(!sorted.empty());
+namespace {
+
+/// Where percentile p falls among n sorted values: between ranks lo and
+/// hi, `frac` of the way to hi.
+struct Rank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+Rank rank_of(std::size_t n, double p) {
+  assert(n > 0);
   assert(p >= 0.0 && p <= 1.0);
-  assert(std::is_sorted(sorted.begin(), sorted.end()));
-  const double idx = p * (static_cast<double>(sorted.size()) - 1);
+  const double idx = p * (static_cast<double>(n) - 1);
   const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return {lo, std::min(lo + 1, n - 1), idx - static_cast<double>(lo)};
+}
+
+double interpolate(double at_lo, double at_hi, double frac) {
+  return at_lo * (1.0 - frac) + at_hi * frac;
+}
+
+}  // namespace
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  assert(std::is_sorted(sorted.begin(), sorted.end()));
+  const Rank r = rank_of(sorted.size(), p);
+  return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
+}
+
+std::vector<double> select_percentiles(
+    std::span<double> values, std::initializer_list<double> ascending_ps) {
+  std::vector<double> out;
+  out.reserve(ascending_ps.size());
+  // values[0, placed) hold the `placed` smallest values, and every value
+  // at or after `placed` is no smaller than them.
+  std::size_t placed = 0;
+  for (const double p : ascending_ps) {
+    const Rank r = rank_of(values.size(), p);
+    assert(r.lo + 1 >= placed);  // ascending
+    if (r.lo >= placed) {
+      std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(placed),
+                       values.begin() + static_cast<std::ptrdiff_t>(r.lo),
+                       values.end());
+      placed = r.lo + 1;
+    }
+    // Rank lo + 1 is the least value after rank lo.
+    const double at_hi =
+        r.hi == r.lo
+            ? values[r.lo]
+            : *std::min_element(
+                  values.begin() + static_cast<std::ptrdiff_t>(r.hi),
+                  values.end());
+    out.push_back(interpolate(values[r.lo], at_hi, r.frac));
+  }
+  return out;
 }
 
 double median(std::span<const double> values) {

@@ -3,7 +3,9 @@
 // max-of-100 STREAM repetitions, and relies on rate stability §V-B).
 #pragma once
 
+#include <initializer_list>
 #include <span>
+#include <vector>
 
 namespace numaio::sim {
 
@@ -29,6 +31,12 @@ double percentile(std::span<const double> values, double p);
 /// sort: sort once, then read every quantile a series needs. Bit-identical
 /// to percentile() of the same values.
 double percentile_sorted(std::span<const double> sorted, double p);
+
+/// percentile() at each of `ascending_ps` by selection instead of a sort:
+/// O(n) per quantile. Reorders `values` (non-empty). Bit-identical to
+/// percentile() of the same values.
+std::vector<double> select_percentiles(std::span<double> values,
+                                       std::initializer_list<double> ascending_ps);
 
 /// Median of a series (0 for an empty span).
 double median(std::span<const double> values);

@@ -3,17 +3,23 @@
 // per-request path, batched epochs replacing per-request admit/reject
 // events, mixed-SKU class placement, shedding spread across the
 // lowest-priority tenants, retry budgets held per tenant, timers kept off
-// the event heap, and request conservation across scenarios and seeds.
+// the event heap, one completion projection per host per instant,
+// request conservation across scenarios and seeds, and
+// equivalence digests that pin whole-run bytes across event-core changes.
 // Every scale run here uses >= 2,000 tenants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fleet/fleet.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace numaio::fleet {
@@ -85,10 +91,11 @@ TEST(FleetScaleTest, MixedSkuFleetSplitsIntoClassesAndSpreads) {
 TEST(FleetScaleTest, TimersStayOffTheHeap) {
   // Deadline guards (one per admitted request) and attempt timeouts ride
   // the engine's delay lines. The heap keeps one pending arrival per
-  // tenant plus, per host, its completion alarms — superseded ones stay
-  // until their time, about 12 per host here — and the odd epoch, retry
-  // or fault step. Were the guards on it, its peak would track the
-  // thousands of admitted requests waiting out their deadline.
+  // tenant plus, per host, its completion alarm — about one, since each
+  // host projects once per instant and leaves few superseded alarms —
+  // and the odd epoch, retry or fault step. Were the guards on it, its
+  // peak would track the thousands of admitted requests waiting out
+  // their deadline.
   StormScenario storm =
       make_scale_storm(8, kTenants, 30000.0, /*seed=*/5, /*horizon=*/0.4e9);
   obs::Context ctx;
@@ -103,6 +110,29 @@ TEST(FleetScaleTest, TimersStayOffTheHeap) {
   EXPECT_GE(ctx.metrics.value("engine.line_pops"),
             2.0 * static_cast<double>(report.admitted));
   EXPECT_GT(ctx.metrics.value("engine.heap_pops"), 0.0);
+}
+
+TEST(FleetScaleTest, EachHostProjectsOncePerInstant) {
+  // A host's completion alarm is projected once per instant, before the
+  // next pop, however many dispatches, completions or timeouts touched
+  // the host in that instant. Projecting eagerly on every change pushed
+  // an alarm per dispatch, nearly all superseded: this run popped 1.03
+  // alarms per completion that way, and pops 0.080 with the projection
+  // deferred (the benchmark's larger fleet_scale run: 1.001 and 0.013).
+  StormScenario storm =
+      make_scale_storm(8, kTenants, 60000.0, /*seed=*/5, /*horizon=*/0.3e9);
+  storm.config.completion_grid = 0.0;
+  obs::Context ctx;
+  FleetSim sim(storm.config, storm.tenants);
+  sim.set_fault_plan(storm.plan);
+  sim.set_observer(&ctx);
+  const FleetReport report = sim.run();
+
+  ASSERT_GT(report.completed, 1000);
+  const double alarms_per_completion =
+      ctx.metrics.value("engine.lane_events") /
+      static_cast<double>(report.completed);
+  EXPECT_LT(alarms_per_completion, 0.25);
 }
 
 TEST(FleetScaleTest, SheddingIsSpreadAcrossTenants) {
@@ -265,6 +295,178 @@ std::string conservation_name(
 INSTANTIATE_TEST_SUITE_P(Scenarios, FleetConservation,
                          ::testing::ValuesIn(conservation_cases()),
                          conservation_name);
+
+// --- equivalence digests -------------------------------------------------
+
+// Whole-run digests recorded before the event core deferred completion
+// projection to the pop loop: a change to the event core, the placer or
+// the report must reproduce them exactly. The matrix covers both service
+// models under per-request and batched admission, least-loaded and
+// class-spread placement, gridded and exact (grid 0, the benchmark's
+// path) completion alarms, and a host crash in every run.
+enum class EquivScenario {
+  kStormFluid,    // make_storm: fluid service, least-loaded, per-request
+  kStormCoarse,   // make_storm with coarse service
+  kScaleGrid,     // make_scale_storm: coarse, class-spread, 0.5 ms grid
+  kScaleNoGrid,   // make_scale_storm with completion_grid 0
+  kScaleFluid,    // make_scale_storm with fluid service
+};
+
+struct EquivalenceCase {
+  EquivScenario scenario;
+  std::uint64_t seed;
+  // FNV-1a 64 digests, hex.
+  const char* trace;    ///< Deterministic JSONL trace bytes.
+  const char* report;   ///< FleetReport::summary().
+  const char* metrics;  ///< Snapshot without engine.* and solver.*.
+};
+
+StormScenario equivalence_scenario(EquivScenario scenario,
+                                   std::uint64_t seed) {
+  switch (scenario) {
+    case EquivScenario::kStormFluid:
+      return make_storm(4, 3, 1600.0, seed, 2.0e9);
+    case EquivScenario::kStormCoarse: {
+      StormScenario storm = make_storm(4, 3, 1600.0, seed, 2.0e9);
+      storm.config.service_model = ServiceModel::kCoarse;
+      return storm;
+    }
+    case EquivScenario::kScaleGrid:
+      break;
+    case EquivScenario::kScaleNoGrid: {
+      StormScenario storm =
+          make_scale_storm(6, kTenants, 70000.0, seed, 0.3e9);
+      storm.config.completion_grid = 0.0;
+      return storm;
+    }
+    case EquivScenario::kScaleFluid: {
+      StormScenario storm =
+          make_scale_storm(4, kTenants, 100000.0, seed, 0.2e9);
+      storm.config.service_model = ServiceModel::kFluid;
+      return storm;
+    }
+  }
+  return make_scale_storm(6, kTenants, 70000.0, seed, 0.3e9);
+}
+
+std::string fnv1a_hex(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// The engine.* and solver.* families count work done, not results.
+bool counts_work(std::string_view name) {
+  return name.starts_with("engine.") || name.starts_with("solver.");
+}
+
+std::string result_metrics(const obs::MetricsRegistry& m) {
+  std::ostringstream out;
+  const auto scalars = [&out](const auto& values) {
+    for (const auto& v : values) {
+      if (counts_work(v.name)) continue;
+      out << v.name << ' ';
+      obs::json::write_number(out, v.value);
+      out << '\n';
+    }
+  };
+  scalars(m.counter_values());
+  scalars(m.gauge_values());
+  for (const obs::MetricsRegistry::Histogram* h : m.histograms_sorted()) {
+    if (counts_work(h->name)) continue;
+    out << h->name << ' ' << h->count << ' ';
+    obs::json::write_number(out, h->sum);
+    for (const std::uint64_t c : h->counts) out << ' ' << c;
+    out << '\n';
+  }
+  return out.str();
+}
+
+class FleetEquivalence : public ::testing::TestWithParam<EquivalenceCase> {};
+
+TEST_P(FleetEquivalence, DigestsMatchRecordedRun) {
+  const EquivalenceCase& c = GetParam();
+  StormScenario storm = equivalence_scenario(c.scenario, c.seed);
+  std::ostringstream trace;
+  obs::Context ctx;
+  obs::JsonlSink sink(trace);
+  ctx.trace.set_deterministic(true);
+  ctx.trace.set_sink(&sink);
+  FleetSim sim(storm.config, storm.tenants);
+  sim.set_fault_plan(storm.plan);
+  sim.set_observer(&ctx);
+  const FleetReport report = sim.run();
+
+  ASSERT_GT(report.completed, 0);
+  EXPECT_EQ(fnv1a_hex(trace.str()), c.trace);
+  EXPECT_EQ(fnv1a_hex(report.summary()), c.report);
+  EXPECT_EQ(fnv1a_hex(result_metrics(ctx.metrics)), c.metrics);
+}
+
+const char* scenario_name(EquivScenario s) {
+  switch (s) {
+    case EquivScenario::kStormFluid: return "storm_fluid";
+    case EquivScenario::kStormCoarse: return "storm_coarse";
+    case EquivScenario::kScaleGrid: return "scale_grid";
+    case EquivScenario::kScaleNoGrid: return "scale_nogrid";
+    case EquivScenario::kScaleFluid: return "scale_fluid";
+  }
+  return "?";
+}
+
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << scenario_name(c.scenario) << "_seed" << c.seed;
+}
+
+std::string equivalence_name(
+    const ::testing::TestParamInfo<EquivalenceCase>& info) {
+  return std::string(scenario_name(info.param.scenario)) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
+using ES = EquivScenario;
+const EquivalenceCase kEquivalenceCases[] = {
+    // scenario, seed, trace, report, metrics
+    {ES::kStormFluid, 3, "5feed527efac2e99", "df5a1a834fa62ee6",
+     "d4041ca9ce9745f2"},
+    {ES::kStormFluid, 11, "0495b84d6c801919", "193c1137f1979c43",
+     "2e7ec35b187d8fce"},
+    {ES::kStormFluid, 29, "ae87ca24020cc669", "44a87206e4b646e8",
+     "2061223766f01fd6"},
+    {ES::kStormCoarse, 3, "58dee8508d54eb27", "aeed57f9829d831a",
+     "9349b91e2538e65f"},
+    {ES::kStormCoarse, 11, "589ebe7c730b0a8c", "896c54e03864e8e8",
+     "48bcfa6fc3617ecd"},
+    {ES::kStormCoarse, 29, "fbd1b080f2bf9621", "2573219f1ce6dc74",
+     "2b0e5940647c8417"},
+    {ES::kScaleGrid, 3, "5b834081ecc9dfcc", "1158b3eedd19f1b8",
+     "f4bf42c7391d88b2"},
+    {ES::kScaleGrid, 11, "3ec71839d8bc761a", "545e334666459abb",
+     "0925a95f31699a28"},
+    {ES::kScaleGrid, 29, "25366a22518934d3", "4298b6a8207e3ed3",
+     "f5b07bea3a10a60b"},
+    {ES::kScaleNoGrid, 3, "92393300b06816b9", "c46912e67a5495dd",
+     "9efcd757267da456"},
+    {ES::kScaleNoGrid, 11, "6b24c0edc2d8d87c", "71293d97122cc35a",
+     "624ea0c345ebf5fd"},
+    {ES::kScaleNoGrid, 29, "62d7e51bface6442", "6e8d3c68d6bbe487",
+     "286806d6dad886b8"},
+    {ES::kScaleFluid, 3, "9cc1803053827cda", "37346e4dd04dc096",
+     "1214c403286603bf"},
+    {ES::kScaleFluid, 11, "8c86a881e72af477", "b3beb79a256e640e",
+     "d2718f621cdfffe1"},
+    {ES::kScaleFluid, 29, "afaa4eccdf0513d4", "f96fa374d0d6fc90",
+     "88af3f98ab30e087"},
+};
+
+INSTANTIATE_TEST_SUITE_P(Recorded, FleetEquivalence,
+                         ::testing::ValuesIn(kEquivalenceCases),
+                         equivalence_name);
 
 }  // namespace
 }  // namespace numaio::fleet

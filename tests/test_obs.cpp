@@ -155,6 +155,27 @@ TEST(TraceRecorder, CsvSinkHeaderAndQuoting) {
             std::string::npos);
   std::string rest;
   EXPECT_FALSE(std::getline(lines, rest));  // one row per record
+
+  // kind and dir are bare single characters; one that is a separator, a
+  // quote or a line break is quoted so the row keeps 13 fields, and an
+  // ordinary one is written exactly as before.
+  std::ostringstream dirs;
+  CsvSink dir_sink(dirs);
+  TraceRecorder dir_trace;
+  dir_trace.set_deterministic(true);
+  dir_trace.set_sink(&dir_sink);
+  for (const char dir : {',', '"', '\n', '\r', 'w'}) {
+    fields.detail = {};
+    fields.dir = dir;
+    dir_trace.event("io", 0, 0, "ok", fields);
+  }
+  const std::string written = dirs.str();
+  EXPECT_EQ(written.substr(written.find('\n') + 1),
+            "1,0,0,I,\"io\",-1,-1,\",\",-1,-1,\"ok\",\"\",\n"
+            "2,0,0,I,\"io\",-1,-1,\"\"\"\",-1,-1,\"ok\",\"\",\n"
+            "3,0,0,I,\"io\",-1,-1,\"\n\",-1,-1,\"ok\",\"\",\n"
+            "4,0,0,I,\"io\",-1,-1,\"\r\",-1,-1,\"ok\",\"\",\n"
+            "5,0,0,I,\"io\",-1,-1,w,-1,-1,\"ok\",\"\",\n");
 }
 
 TEST(TraceRecorder, SameWorkloadEmitsIdenticalRecordsModuloWallClock) {

@@ -1,9 +1,10 @@
 // Robustness property tests for the text parsers: fio job files,
-// host-model documents and CSV transfer traces, plus the three JSON
-// readers built on obs/json (JSONL trace captures, metrics snapshots,
-// run reports). Random single-character mutations of valid documents
-// must either parse or throw std::invalid_argument — never crash, never
-// hang, never corrupt state.
+// host-model documents, CSV transfer traces and fault plans, plus the
+// three JSON readers built on obs/json (JSONL trace captures, metrics
+// snapshots, run reports). Random single-character mutations of valid
+// documents must either parse or throw std::invalid_argument (for fault
+// plans, its subclass StatusError) — never crash, never hang, never
+// corrupt state.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "faults/fault_plan.h"
 #include "fleet/fleet.h"
 #include "io/jobfile.h"
 #include "io/trace.h"
@@ -19,6 +21,7 @@
 #include "obs/analysis.h"
 #include "obs/obs.h"
 #include "simcore/rng.h"
+#include "simcore/status.h"
 
 namespace numaio {
 namespace {
@@ -170,6 +173,25 @@ TEST_P(ParserFuzz, ReportJsonNeverCrashes) {
       const model::ReportSummary parsed = model::parse_report_json(doc);
       model::diff_reports(parsed, parsed);
     } catch (const std::invalid_argument&) {
+    }
+  }
+}
+
+TEST_P(ParserFuzz, FaultPlanNeverCrashes) {
+  sim::Rng rng(GetParam() + 6000);
+  const std::string base = faults::render_fault_plan(
+      fleet::make_scale_storm(/*num_hosts=*/8, /*num_tenants=*/64,
+                              /*offered_rps=*/1000.0, /*seed=*/5,
+                              /*horizon=*/1.0e9)
+          .plan);
+  ASSERT_FALSE(faults::parse_fault_plan(base).events().empty());
+  for (int i = 0; i < 200; ++i) {
+    const std::string doc = mutate(base, rng);
+    try {
+      // A plan that parses renders to a document that parses again.
+      faults::parse_fault_plan(
+          faults::render_fault_plan(faults::parse_fault_plan(doc)));
+    } catch (const StatusError&) {
     }
   }
 }

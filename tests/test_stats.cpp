@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "simcore/rng.h"
@@ -92,6 +93,42 @@ TEST(Stats, PercentilesMatchSinglePercentileBitForBit) {
                 std::bit_cast<std::uint64_t>(reference(values, p)))
           << "n=" << n << " p=" << p;
     }
+  }
+}
+
+TEST(Stats, SelectedPercentilesMatchPercentileBitForBit) {
+  // Selection reads the same two ranks a sort would: every quantile of
+  // one pass equals percentile() of the untouched input, bit for bit,
+  // including repeated quantiles, runs of duplicates, n = 1 and n = 2.
+  const auto check = [](const std::vector<double>& values) {
+    std::vector<double> scratch = values;
+    const std::vector<double> got = select_percentiles(
+        scratch, {0.0, 0.25, 0.5, 0.5, 0.99, 0.999, 1.0});
+    const double ps[] = {0.0, 0.25, 0.5, 0.5, 0.99, 0.999, 1.0};
+    ASSERT_EQ(got.size(), std::size(ps));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(percentile(values, ps[i])))
+          << "n=" << values.size() << " p=" << ps[i];
+    }
+    std::sort(scratch.begin(), scratch.end());
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(scratch, sorted);  // reordered, nothing lost
+  };
+  check({7.5});
+  check({3.0, -1.0});
+  check({2.0, 2.0});
+  Rng rng(0x51ab1e5eedULL);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng.below(3000);
+    const bool dups = trial % 2 == 1;
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = dups ? static_cast<double>(rng.below(5)) * 0.5
+               : rng.uniform(0.0, 5.0e6);
+    }
+    check(values);
   }
 }
 
