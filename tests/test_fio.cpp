@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "io/testbed.h"
 
@@ -217,16 +219,18 @@ TEST_F(FioTest, LowerIodepthLowersSsdThroughput) {
 }
 
 // Property sweep: every engine x binding yields a positive aggregate that
-// never exceeds the engine's total ceiling.
+// never exceeds the engine's total ceiling. The engine is a std::string, not
+// a const char*: gtest prints a char pointer parameter with its address, and
+// the case names built from that address change from run to run.
 class EngineBindingSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(EngineBindingSweep, WithinPhysicalBounds) {
   Testbed tb = Testbed::dl585();
   FioRunner fio(tb.host());
-  const auto [engine, node] = GetParam();
+  const auto& [engine, node] = GetParam();
   FioJob j;
-  const bool is_ssd = std::string(engine).rfind("ssd", 0) == 0;
+  const bool is_ssd = engine.rfind("ssd", 0) == 0;
   j.devices = is_ssd ? tb.ssds()
                      : std::vector<const PcieDevice*>{&tb.nic()};
   j.engine = engine;
@@ -241,9 +245,11 @@ TEST_P(EngineBindingSweep, WithinPhysicalBounds) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllEnginesAllNodes, EngineBindingSweep,
-    ::testing::Combine(::testing::Values(kTcpSend, kTcpRecv, kRdmaWrite,
-                                         kRdmaRead, kSsdWrite, kSsdRead),
-                       ::testing::Range(0, 8)));
+    ::testing::Combine(
+        ::testing::Values(std::string(kTcpSend), std::string(kTcpRecv),
+                          std::string(kRdmaWrite), std::string(kRdmaRead),
+                          std::string(kSsdWrite), std::string(kSsdRead)),
+        ::testing::Range(0, 8)));
 
 }  // namespace
 }  // namespace numaio::io
